@@ -58,9 +58,44 @@ class UsageError(ValueError):
     pass
 
 
+def _type_mismatch(default, value):
+    """What a config value should be, or None when it has its default's
+    type.  An int passes for a float, a bool never passes for a number, and
+    a key whose default is null takes a number or null."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if default is None:
+        return None if value is None or number else "a number or null"
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "a boolean"
+    if isinstance(default, int):
+        return None if number and isinstance(value, int) else "an integer"
+    if isinstance(default, float):
+        return None if number else "a number"
+    if isinstance(default, list):
+        ok = (isinstance(value, list) and len(value) == len(default)
+              and not any(_type_mismatch(d, v) for d, v in zip(default, value)))
+        return None if ok else f"a list like {default}"
+    return None if isinstance(value, type(default)) else f"a {type(default).__name__}"
+
+
+def _merge_section(path, where, merged, user):
+    if not isinstance(user, dict):
+        raise UsageError(f"{path}: section {where!r} must be an object")
+    for key, v in user.items():
+        if key not in merged:
+            raise UsageError(f"{path}: unknown key {key!r} in section {where!r}")
+        if isinstance(merged[key], dict):
+            _merge_section(path, f"{where}.{key}", merged[key], v)
+            continue
+        want = _type_mismatch(merged[key], v)
+        if want:
+            raise UsageError(f"{path}: {where}.{key} must be {want}, got {v!r}")
+        merged[key] = v
+
+
 def load_config(path=None) -> dict:
     """Merge a JSON experiment config over the defaults.  Unknown sections or
-    keys are rejected with the offending name."""
+    keys and values of the wrong type are rejected with the offending name."""
     merged = json.loads(json.dumps(_SECTION_DEFAULTS))  # deep copy
     if path is None:
         return merged
@@ -74,20 +109,7 @@ def load_config(path=None) -> dict:
     for section, value in user.items():
         if section not in merged:
             raise UsageError(f"{path}: unknown config section {section!r}")
-        if not isinstance(value, dict):
-            raise UsageError(f"{path}: section {section!r} must be an object")
-        for key, v in value.items():
-            if key not in merged[section]:
-                raise UsageError(f"{path}: unknown key {key!r} in section "
-                                 f"{section!r}")
-            if section == "robustness" and key == "mc":
-                for mk in v:
-                    if mk not in merged["robustness"]["mc"]:
-                        raise UsageError(f"{path}: unknown key {mk!r} in "
-                                         f"robustness.mc")
-                merged["robustness"]["mc"].update(v)
-            else:
-                merged[section][key] = v
+        _merge_section(path, section, merged[section], value)
     return merged
 
 
@@ -169,7 +191,6 @@ def cmd_eval(args) -> int:
     if not ids:
         raise FormatError(f"{args.pred}: no *{suffix} maps found")
     reports = {}
-    tp = np.zeros(256)
     # accumulate PR inputs dataset-wide by summing per-image histograms
     pos_hist = np.zeros(256)
     neg_hist = np.zeros(256)

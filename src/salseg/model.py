@@ -7,6 +7,16 @@ level) contributes one feature map, upsampled by replication to the input
 size.  A 16-kernel 1x1 convolution over the concatenated stack produces the
 per-pixel embedding field, and a 2-kernel 1x1 convolution the foreground /
 background probabilities.
+
+The network's structure lives in one place: ``ModelParams.layers``, the
+ordered list of ``Layer`` records that ``build`` creates.  A record holds one
+convolution or transposed convolution, its optional batch norm, the
+parameter-name stems the two own, and its role in the topology (a trunk
+layer, possibly a block end whose output is a scale feature or a decoder
+block start that joins the mirrored skip; a per-scale extractor; or a head).
+``forward``, the parameter and buffer naming (hence the checkpoint blob
+directory) and the robustness toolkit's absolute network all walk that list,
+in its order, which is also the order of the initializer's random draws.
 """
 
 from __future__ import annotations
@@ -59,84 +69,51 @@ class ModelConfig:
 
 
 @dataclass
+class Layer:
+    """One convolution of the network and its place in the topology.
+
+    ``role`` is "trunk" (conv, batch norm, ReLU on the running activation),
+    "scale" (the single-map extractor of one scale feature, conv and batch
+    norm) or "head" (a bare 1x1 conv over the stack; "emb" then "ce").
+    """
+    role: str
+    name: str                       # parameter-name stem of the conv
+    conv: ConvParams
+    bn_name: str = None             # stem of the batch norm's parameters/buffers
+    bn: BatchNormParams = None
+    transposed: bool = False        # deconv2d instead of conv2d
+    join: int = None                # trunk: scale feature concatenated first
+    tap: bool = False               # trunk: output is the next scale feature
+
+
+@dataclass
 class ModelParams:
     config: ModelConfig
-    input_conv: ConvParams = None
-    input_bn: BatchNormParams = None
-    enc_blocks: list = field(default_factory=list)   # [(conv, bn), ...] per block
-    dec_blocks: list = field(default_factory=list)
-    scale_convs: list = field(default_factory=list)  # one 3x3 -> 1 conv per scale
-    scale_bns: list = field(default_factory=list)    # one bn per scale conv
-    emb_head: ConvParams = None
-    ce_head: ConvParams = None
+    layers: list = field(default_factory=list)  # Layer records, in order
 
     def named_parameters(self):
         """Ordered (name, Tensor) pairs for every learnable array."""
         out = []
-
-        def add_conv(prefix, cp):
-            out.append((f"{prefix}.w", cp.weight))
-            out.append((f"{prefix}.b", cp.bias))
-
-        def add_bn(prefix, bn):
-            out.append((f"{prefix}.gamma", bn.gamma))
-            out.append((f"{prefix}.beta", bn.beta))
-
-        add_conv("input.conv", self.input_conv)
-        add_bn("input.bn", self.input_bn)
-        for b, block in enumerate(self.enc_blocks):
-            for j, (cp, bn) in enumerate(block):
-                add_conv(f"enc{b}.conv{j}", cp)
-                add_bn(f"enc{b}.bn{j}", bn)
-        for b, block in enumerate(self.dec_blocks):
-            for j, (cp, bn) in enumerate(block):
-                tag = "deconv" if j == len(block) - 1 else f"conv{j}"
-                add_conv(f"dec{b}.{tag}", cp)
-                add_bn(f"dec{b}.bn{j}", bn)
-        for s, cp in enumerate(self.scale_convs):
-            add_conv(f"scale{s}", cp)
-            add_bn(f"scale{s}.bn", self.scale_bns[s])
-        add_conv("emb", self.emb_head)
-        add_conv("ce", self.ce_head)
+        for layer in self.layers:
+            out.append((f"{layer.name}.w", layer.conv.weight))
+            out.append((f"{layer.name}.b", layer.conv.bias))
+            if layer.bn is not None:
+                out.append((f"{layer.bn_name}.gamma", layer.bn.gamma))
+                out.append((f"{layer.bn_name}.beta", layer.bn.beta))
         return out
 
     def named_buffers(self):
         """Ordered (name, ndarray) pairs for the batch-norm running stats."""
-        out = [("input.bn.running_mean", self.input_bn.running_mean),
-               ("input.bn.running_var", self.input_bn.running_var)]
-        for tag, blocks in (("enc", self.enc_blocks), ("dec", self.dec_blocks)):
-            for b, block in enumerate(blocks):
-                for j, (_, bn) in enumerate(block):
-                    out.append((f"{tag}{b}.bn{j}.running_mean", bn.running_mean))
-                    out.append((f"{tag}{b}.bn{j}.running_var", bn.running_var))
-        for s, bn in enumerate(self.scale_bns):
-            out.append((f"scale{s}.bn.running_mean", bn.running_mean))
-            out.append((f"scale{s}.bn.running_var", bn.running_var))
+        out = []
+        for layer in self.layers:
+            if layer.bn is not None:
+                out.append((f"{layer.bn_name}.running_mean", layer.bn.running_mean))
+                out.append((f"{layer.bn_name}.running_var", layer.bn.running_var))
         return out
 
-    def set_buffer(self, name, value):
-        holder, attr = self._locate_bn(name)
-        setattr(holder, attr, np.asarray(value, dtype=np.float64))
-
-    def _locate_bn(self, name):
-        stem, attr = name.rsplit(".", 1)
-        if stem == "input.bn":
-            return self.input_bn, attr
-        if stem.startswith("scale"):
-            s = int(stem.split(".")[0][5:])
-            return self.scale_bns[s], attr
-        tag = stem[:3]
-        blocks = self.enc_blocks if tag == "enc" else self.dec_blocks
-        b, j = stem.split(".")
-        return blocks[int(b[3:])][int(j[2:])][1], attr
-
-    def all_batch_norms(self):
-        bns = [self.input_bn]
-        for blocks in (self.enc_blocks, self.dec_blocks):
-            for block in blocks:
-                bns.extend(bn for _, bn in block)
-        bns.extend(self.scale_bns)
-        return bns
+    def with_role(self, role):
+        """The records of one role, in list order."""
+        return [layer for layer in self.layers if layer.role == role]
 
 
 @dataclass
@@ -148,22 +125,15 @@ class ForwardOutput:
     ce_probs: Tensor          # (N, 2, I, I)
 
 
-def _init_conv(rng, oc, ic, k, stride, dtype):
-    fan_in = ic * k * k
-    std = float(np.sqrt(2.0 / fan_in))
-    return ConvParams(weight=Tensor(rng.normal((oc, ic, k, k), std=std, dtype=dtype),
-                                    requires_grad=True),
-                      bias=Tensor(np.zeros(oc, dtype=dtype), requires_grad=True),
-                      stride=stride)
-
-
-def _init_deconv(rng, cin, cout, k, dtype):
-    fan_in = cin * k * k
-    std = float(np.sqrt(2.0 / fan_in))
-    return ConvParams(weight=Tensor(rng.normal((cin, cout, k, k), std=std, dtype=dtype),
+def _init_conv(rng, cin, cout, k, stride, dtype, transposed=False):
+    """Fan-in-scaled normal weights, (cout, cin, k, k) for a conv and
+    (cin, cout, k, k) for a transposed conv; zero bias."""
+    shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
+    std = float(np.sqrt(2.0 / (cin * k * k)))
+    return ConvParams(weight=Tensor(rng.normal(shape, std=std, dtype=dtype),
                                     requires_grad=True),
                       bias=Tensor(np.zeros(cout, dtype=dtype), requires_grad=True),
-                      stride=2)
+                      stride=stride)
 
 
 def _init_bn(c, dtype):
@@ -174,54 +144,49 @@ def _init_bn(c, dtype):
 def build(config: ModelConfig, rng: Rng, dtype=np.float32) -> ModelParams:
     """Initialize all parameters: fan-in-scaled normal weights, zero biases,
     unit-gain batch norms.  Deterministic given the rng state."""
-    k = 3
     kconv = config.convs_per_block
-    base = config.base_channels
     levels = config.levels
     p = ModelParams(config=config)
+    feat_channels = [config.in_channels]  # scale 0 is the raw image
 
-    p.input_conv = _init_conv(rng, base, config.in_channels, k, 1, dtype)
-    p.input_bn = _init_bn(base, dtype)
+    def add(role, name, cin, cout, bn_name=None, k=3, stride=1,
+            transposed=False, join=None, tap=False):
+        conv = _init_conv(rng, cin, cout, k, stride, dtype, transposed)
+        bn = _init_bn(cout, dtype) if bn_name else None
+        p.layers.append(Layer(role, name, conv, bn_name, bn, transposed, join, tap))
+        if tap:
+            feat_channels.append(cout)
 
-    c = base
-    for _ in range(levels):
-        block = []
-        for _ in range(kconv - 1):
-            block.append((_init_conv(rng, c, c, k, 1, dtype), _init_bn(c, dtype)))
-        block.append((_init_conv(rng, 2 * c, c, k, 2, dtype), _init_bn(2 * c, dtype)))
-        p.enc_blocks.append(block)
+    c = config.base_channels
+    add("trunk", "input.conv", config.in_channels, c, "input.bn")
+    for b in range(levels):
+        for j in range(kconv - 1):
+            add("trunk", f"enc{b}.conv{j}", c, c, f"enc{b}.bn{j}")
+        add("trunk", f"enc{b}.conv{kconv - 1}", c, 2 * c, f"enc{b}.bn{kconv - 1}",
+            stride=2, tap=True)
         c *= 2
 
-    # decoder mirrors: d channels in, concat with the matching encoder feature
-    # (same channel count), convs back to d, deconv to d // 2
-    d = c
-    for _ in range(levels):
-        block = []
-        cin = 2 * d
-        for _ in range(kconv - 1):
-            block.append((_init_conv(rng, d, cin, k, 1, dtype), _init_bn(d, dtype)))
-            cin = d
-        block.append((_init_deconv(rng, cin, d // 2, k, dtype), _init_bn(d // 2, dtype)))
-        p.dec_blocks.append(block)
-        d //= 2
+    # decoder mirrors: the block input is concatenated with the matching
+    # encoder output (scale levels - b, same channel count), convs back to
+    # c, deconv to c // 2
+    for b in range(levels):
+        cin, join = 2 * c, levels - b
+        for j in range(kconv - 1):
+            add("trunk", f"dec{b}.conv{j}", cin, c, f"dec{b}.bn{j}", join=join)
+            cin, join = c, None
+        add("trunk", f"dec{b}.deconv", cin, c // 2, f"dec{b}.bn{kconv - 1}",
+            stride=2, transposed=True, join=join, tap=True)
+        c //= 2
 
     # one single-map extractor per scale: raw image, then every encoder and
     # decoder block output
-    scale_channels = [config.in_channels]
-    c = base
-    for _ in range(levels):
-        c *= 2
-        scale_channels.append(c)
-    for _ in range(levels):
-        c //= 2
-        scale_channels.append(c)
-    p.scale_convs = [_init_conv(rng, 1, sc, k, 1, dtype) for sc in scale_channels]
-    p.scale_bns = [_init_bn(1, dtype) for _ in scale_channels]
+    for s, sc in enumerate(feat_channels):
+        add("scale", f"scale{s}", sc, 1, f"scale{s}.bn")
 
     stack_ch = config.scale_count
-    p.emb_head = _init_conv(rng, config.embedding_dim, stack_ch, 1, 1, dtype)
+    add("head", "emb", stack_ch, config.embedding_dim, k=1)
     ce_in = stack_ch if config.ce_head_input == "stack" else config.embedding_dim
-    p.ce_head = _init_conv(rng, 2, ce_in, 1, 1, dtype)
+    add("head", "ce", ce_in, 2, k=1)
     return p
 
 
@@ -252,46 +217,38 @@ def forward(params: ModelParams, image: Tensor, mode: str = "inference",
     act = (lambda t: t) if _linearize else relu
     bn_mode = "inference" if _linearize else mode
 
+    def apply(layer, t):
+        # the ops are looked up in this module at call time, so wrapping
+        # salseg.model.conv2d & co. from outside sees every call
+        t = (deconv2d if layer.transposed else conv2d)(t, layer.conv)
+        if layer.bn is None:
+            return t
+        return batch_norm(t, layer.bn, mode=bn_mode, update_running=update_running)
+
     feats = [x]  # per-scale trunk activations, scale 0 = raw image
-    t = act(batch_norm(conv2d(x, params.input_conv), params.input_bn,
-                       mode=bn_mode, update_running=update_running))
-    skips = [t]
-    for block in params.enc_blocks:
-        for cp, bnp in block[:-1]:
-            t = act(batch_norm(conv2d(t, cp), bnp, mode=bn_mode,
-                               update_running=update_running))
-        cp, bnp = block[-1]
-        t = act(batch_norm(conv2d(t, cp), bnp, mode=bn_mode,
-                           update_running=update_running))
-        skips.append(t)
-        feats.append(t)
+    t = x
+    for layer in params.with_role("trunk"):
+        if layer.join is not None:
+            t = concat_channels([t, feats[layer.join]])
+        t = act(apply(layer, t))
+        if layer.tap:
+            feats.append(t)
 
-    assert t.data.shape[2] == 1 and t.data.shape[3] == 1, "bottleneck must be 1x1"
-
-    for b, block in enumerate(params.dec_blocks):
-        t = concat_channels([t, skips[len(params.enc_blocks) - b]])
-        for cp, bnp in block[:-1]:
-            t = act(batch_norm(conv2d(t, cp), bnp, mode=bn_mode,
-                               update_running=update_running))
-        dp, bnp = block[-1]
-        t = act(batch_norm(deconv2d(t, dp), bnp, mode=bn_mode,
-                           update_running=update_running))
-        feats.append(t)
+    assert feats[cfg.levels].data.shape[2:] == (1, 1), "bottleneck must be 1x1"
 
     # the per-scale maps are normalized before stacking; without this the
     # scale convs and the heads form an unnormalized two-layer chain whose
     # weights can grow without bound under the metric objective
     scale_maps = []
-    for feat, cp, bnp in zip(feats, params.scale_convs, params.scale_bns):
-        m = batch_norm(conv2d(feat, cp), bnp, mode=bn_mode,
-                       update_running=update_running)
+    for feat, layer in zip(feats, params.with_role("scale")):
         factor = cfg.input_size // feat.data.shape[2]
-        scale_maps.append(replicate_upsample(m, factor))
+        scale_maps.append(replicate_upsample(apply(layer, feat), factor))
 
     stack = concat_channels(scale_maps)
-    embedding = conv2d(stack, params.emb_head)
+    emb_head, ce_head = params.with_role("head")
+    embedding = apply(emb_head, stack)
     ce_in = stack if cfg.ce_head_input == "stack" else embedding
-    ce_logits = conv2d(ce_in, params.ce_head)
+    ce_logits = apply(ce_head, ce_in)
     if _linearize:
         # softmax derivative bound: every logit reaches every probability
         # with |d p / d z| <= 1, realized as an all-ones 2x2 coupling

@@ -14,7 +14,7 @@ M = ‖G‖ bounds the output change per unit input change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -201,23 +201,16 @@ def _absolute_params(params: ModelParams) -> ModelParams:
                           stride=cp.stride)
 
     def abs_bn(bn):
+        if bn is None:
+            return None
         return BatchNormParams(gamma=Tensor(np.abs(bn.gamma.data)),
                                beta=Tensor(np.zeros_like(bn.beta.data)),
                                running_mean=np.zeros_like(bn.running_mean),
                                running_var=bn.running_var.copy(), eps=bn.eps)
 
-    out = ModelParams(config=params.config,
-                      input_conv=abs_conv(params.input_conv),
-                      input_bn=abs_bn(params.input_bn),
-                      emb_head=abs_conv(params.emb_head),
-                      ce_head=abs_conv(params.ce_head))
-    out.enc_blocks = [[(abs_conv(cp), abs_bn(bn)) for cp, bn in block]
-                      for block in params.enc_blocks]
-    out.dec_blocks = [[(abs_conv(cp), abs_bn(bn)) for cp, bn in block]
-                      for block in params.dec_blocks]
-    out.scale_convs = [abs_conv(cp) for cp in params.scale_convs]
-    out.scale_bns = [abs_bn(bn) for bn in params.scale_bns]
-    return out
+    return ModelParams(config=params.config, layers=[
+        replace(layer, conv=abs_conv(layer.conv), bn=abs_bn(layer.bn))
+        for layer in params.layers])
 
 
 def lipschitz_bound(params: ModelParams, norm="l2", head="metric") -> BoundReport:

@@ -22,10 +22,6 @@ def set_finite_checks(enabled: bool) -> None:
     _FINITE_CHECKS = bool(enabled)
 
 
-def finite_checks_enabled() -> bool:
-    return _FINITE_CHECKS
-
-
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode autodiff."""
 
@@ -389,10 +385,3 @@ class Rng:
             if n > 1e-12:
                 return v / n
 
-
-def random_normal(rng: Rng, shape, mean=0.0, std=1.0, dtype=np.float64):
-    return Tensor(rng.normal(shape, mean, std, dtype=dtype))
-
-
-def random_uniform_sphere(rng: Rng, dim: int):
-    return rng.uniform_sphere(dim)

@@ -109,7 +109,7 @@ class TrainConfig:
 
 @dataclass
 class OptimState:
-    velocity: dict = field(default_factory=dict)  # name -> float64 buffer
+    velocity: dict = field(default_factory=dict)  # name -> array, parameter's dtype
     iteration: int = 0
 
 
@@ -291,7 +291,7 @@ def _blob_directory(params: ModelParams, optim_state):
         for name, t in params.named_parameters():
             v = optim_state.velocity.get(name)
             if v is None:
-                v = np.zeros(t.data.shape, dtype=np.float64)
+                v = np.zeros_like(t.data)
             blobs.append(("optim:" + name, v))
     return blobs
 
@@ -317,49 +317,96 @@ def save_checkpoint(path, params: ModelParams, train_config: TrainConfig = None,
                 arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        buf = f.read()
-    if buf[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {buf[:4]!r}")
-    version = int(np.frombuffer(buf[4:8], dtype="<u4")[0])
+_BLOB_DTYPES = ("float32", "float64")
+
+
+def _read_header(path, f):
+    """Check the 16-byte preamble and decode the JSON header that follows."""
+    pre = f.read(16)
+    if pre[:4] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {pre[:4]!r}")
+    if len(pre) < 16:
+        raise CheckpointError(f"{path}: truncated preamble ({len(pre)} of 16 bytes)")
+    version = int(np.frombuffer(pre[4:8], dtype="<u4")[0])
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    hlen = int(np.frombuffer(buf[8:16], dtype="<u8")[0])
-    header = json.loads(buf[16:16 + hlen].decode())
-    pos = 16 + hlen
+    hlen = int(np.frombuffer(pre[8:16], dtype="<u8")[0])
+    raw = f.read(hlen)
+    if len(raw) != hlen:
+        raise CheckpointError(f"{path}: truncated header ({len(raw)} of {hlen} bytes)")
+    try:
+        header = json.loads(raw.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: undecodable header ({e})")
+    if (not isinstance(header, dict)
+            or not isinstance(header.get("model"), dict)
+            or not isinstance(header.get("train"), (dict, type(None)))
+            or type(header.get("iteration")) is not int
+            or type(header.get("has_optimizer")) is not bool
+            or not isinstance(header.get("blobs"), list)):
+        raise CheckpointError(f"{path}: malformed header")
+    return header
 
-    arrays = {}
-    for name, dtype, shape in header["blobs"]:
-        dt = np.dtype(dtype).newbyteorder("<")
-        need = dt.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dt.itemsize
-        chunk = buf[pos:pos + need]
-        if len(chunk) != need:
-            raise CheckpointError(f"{path}: truncated payload in blob {name!r} "
-                                  f"(expected {need} bytes, got {len(chunk)})")
-        arrays[name] = np.frombuffer(chunk, dtype=dt).reshape(shape).astype(
-            np.dtype(dtype))
-        pos += need
 
-    cfg = ModelConfig.from_dict(header["model"])
-    params = build(cfg, Rng(0))
+def _check_directory(path, directory, params, has_optimizer):
+    """Validate the blob directory against the model before any payload is
+    read: known, unique names, float dtypes, matching shapes, none missing."""
+    want = {name: arr.shape for name, arr in _blob_directory(
+        params, OptimState() if has_optimizer else None)}
+    seen = set()
+    for entry in directory:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and isinstance(entry[2], list)):
+            raise CheckpointError(f"{path}: malformed blob entry {entry!r}")
+        name, dtype, shape = entry
+        if name not in want:
+            raise CheckpointError(f"{path}: unknown blob {name!r}")
+        if name in seen:
+            raise CheckpointError(f"{path}: duplicate blob {name!r}")
+        seen.add(name)
+        if dtype not in _BLOB_DTYPES:
+            raise CheckpointError(f"{path}: blob {name!r} has unsupported "
+                                  f"dtype {dtype!r}")
+        if tuple(shape) != want[name]:
+            raise CheckpointError(f"{path}: blob {name!r} has shape {shape}, "
+                                  f"model expects {list(want[name])}")
+    missing = [name for name in want if name not in seen]
+    if missing:
+        raise CheckpointError(f"{path}: missing blob {missing[0]!r}")
+
+
+def load_checkpoint(path) -> Checkpoint:
+    with open(path, "rb") as f:
+        header = _read_header(path, f)
+        try:
+            params = build(ModelConfig.from_dict(header["model"]), Rng(0))
+            train_config = (TrainConfig.from_dict(header["train"])
+                            if header["train"] else None)
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: bad config in header ({e})")
+        _check_directory(path, header["blobs"], params, header["has_optimizer"])
+
+        arrays = {}
+        for name, dtype, shape in header["blobs"]:
+            dt = np.dtype(dtype)
+            need = dt.itemsize * int(np.prod(shape, dtype=np.int64))
+            chunk = f.read(need)
+            if len(chunk) != need:
+                raise CheckpointError(f"{path}: truncated payload in blob {name!r} "
+                                      f"(expected {need} bytes, got {len(chunk)})")
+            arrays[name] = np.frombuffer(chunk, dtype=dt.newbyteorder("<")
+                                         ).reshape(shape).astype(dt)
+        if f.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last blob")
+
     for name, p in params.named_parameters():
-        key = "param:" + name
-        if key not in arrays:
-            raise CheckpointError(f"{path}: missing parameter blob {name!r}")
-        p.data = arrays[key].copy()
-    for name, _ in params.named_buffers():
-        key = "buffer:" + name
-        if key not in arrays:
-            raise CheckpointError(f"{path}: missing buffer blob {name!r}")
-        params.set_buffer(name, arrays[key])
-
+        p.data = arrays["param:" + name]
+    for name, buf in params.named_buffers():
+        np.copyto(buf, arrays["buffer:" + name])
     optim_state = None
     if header["has_optimizer"]:
-        vel = {name: arrays["optim:" + name].copy()
+        vel = {name: arrays["optim:" + name]
                for name, _ in params.named_parameters()}
         optim_state = OptimState(velocity=vel, iteration=header["iteration"])
-    train_config = (TrainConfig.from_dict(header["train"])
-                    if header["train"] else None)
     return Checkpoint(params=params, train_config=train_config,
                       optim_state=optim_state, iteration=header["iteration"])

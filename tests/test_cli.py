@@ -51,6 +51,43 @@ class TestConfig:
         with pytest.raises(UsageError):
             load_config(str(p))
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "iterations", "abc"),
+        ("train", "iterations", True),       # a bool is not an int
+        ("train", "batch_size", 2.0),        # a float is not an int
+        ("train", "learning_rate", "0.1"),
+        ("train", "augment", 1),
+        ("train", "clip_norm", "off"),
+        ("model", "ce_head_input", 3),
+        ("distortion", "sigma_range", [0.1]),
+        ("robustness", "mc", 5),
+    ])
+    def test_wrong_type_rejected_with_its_name(self, tmp_path, section, key,
+                                               value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(UsageError, match=f"{section}.{key}"):
+            load_config(str(p))
+
+    def test_numbers_and_nulls_accepted(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({
+            "train": {"learning_rate": 1, "clip_norm": 2, "augment": False,
+                      "warmup_learning_rate": None},
+            "distortion": {"sigma": 0.1, "quality": None},
+            "robustness": {"mc": {"p": 1, "n_samples": 3}}}))
+        cfg = load_config(str(p))
+        assert cfg["train"]["learning_rate"] == 1
+        assert cfg["train"]["clip_norm"] == 2
+        assert cfg["robustness"]["mc"] == {"p": 1, "t": 1e-4, "n_samples": 3}
+
+    def test_wrong_type_is_usage_error_from_train(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"train": {"iterations": "abc"}}))
+        assert run("train", "--config", str(p), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "o")) == 1
+        assert "train.iterations" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
@@ -65,6 +102,13 @@ class TestExitCodes:
         bad.write_bytes(b"XXXX" + bytes(16))
         assert run("infer", "--ckpt", str(bad), "--images", str(tmp_path),
                    "--out", str(tmp_path / "o")) == 2
+
+    def test_short_checkpoint_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "short.ment"
+        bad.write_bytes(b"MENT")
+        assert run("infer", "--ckpt", str(bad), "--images", str(tmp_path),
+                   "--out", str(tmp_path / "o")) == 2
+        assert "truncated preamble" in capsys.readouterr().err
 
     def test_gradcheck_success(self, capsys):
         assert run("gradcheck") == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from salseg import model
 from salseg.tensor import Tensor, Rng
 from salseg.model import ModelConfig, build, forward, depth
 
@@ -67,8 +68,11 @@ class TestDepth:
     def test_minimal_config_matches_structural_walk(self):
         cfg = ModelConfig(input_size=8, convs_per_block=1)
         params = build(cfg, Rng(2))
-        block_convs = sum(len(b) for b in params.enc_blocks + params.dec_blocks)
-        walked = 1 + block_convs + 1 + 2  # input conv, blocks, extractor stage, heads
+        trunk = params.with_role("trunk")
+        block_convs = sum(layer.name.startswith(("enc", "dec")) for layer in trunk)
+        assert len(params.with_role("scale")) == cfg.scale_count
+        heads = params.with_role("head")
+        walked = 1 + block_convs + 1 + len(heads)  # input, blocks, extractor stage, heads
         assert depth(cfg) == walked == 10
 
 
@@ -130,10 +134,11 @@ class TestForward:
     def test_train_mode_updates_running_stats(self):
         cfg = small_config()
         params = build(cfg, Rng(13))
-        before = params.input_bn.running_mean.copy()
+        before = dict(params.named_buffers())["input.bn.running_mean"].copy()
         img = Tensor(Rng(14).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32))
         forward(params, img, mode="train")
-        assert not np.array_equal(params.input_bn.running_mean, before)
+        after = dict(params.named_buffers())["input.bn.running_mean"]
+        assert not np.array_equal(after, before)
 
     def test_gradient_reaches_all_parameters(self):
         cfg = small_config()
@@ -153,7 +158,60 @@ class TestCeHeadSwitch:
     def test_embedding_input_variant(self):
         cfg = small_config(ce_head_input="embedding")
         params = build(cfg, Rng(17))
-        assert params.ce_head.weight.data.shape[1] == cfg.embedding_dim
+        assert dict(params.named_parameters())["ce.w"].data.shape[1] == cfg.embedding_dim
         img = Tensor(Rng(18).uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))
         out = forward(params, img, mode="inference")
         assert out.ce_probs.data.shape == (1, 2, 16, 16)
+
+
+class TestLayerList:
+    """The layer list is the one description of the network: its order fixes
+    the parameter and buffer names (the checkpoint blob directory), and
+    forward dispatches every record through this module's layer ops."""
+
+    TINY = dict(input_size=8, base_channels=2, convs_per_block=1)
+
+    def test_parameter_and_buffer_names_in_order(self):
+        params = build(ModelConfig(**self.TINY), Rng(0))
+        bns = (["input.bn", "enc0.bn0", "enc1.bn0", "enc2.bn0",
+                "dec0.bn0", "dec1.bn0", "dec2.bn0"]
+               + [f"scale{s}.bn" for s in range(7)])
+        convs = (["input.conv", "enc0.conv0", "enc1.conv0", "enc2.conv0",
+                  "dec0.deconv", "dec1.deconv", "dec2.deconv"]
+                 + [f"scale{s}" for s in range(7)])
+        want_params = []
+        for conv, bn in zip(convs, bns):
+            want_params += [f"{conv}.w", f"{conv}.b", f"{bn}.gamma", f"{bn}.beta"]
+        want_params += ["emb.w", "emb.b", "ce.w", "ce.b"]
+        want_buffers = []
+        for bn in bns:
+            want_buffers += [f"{bn}.running_mean", f"{bn}.running_var"]
+        assert [n for n, _ in params.named_parameters()] == want_params
+        assert [n for n, _ in params.named_buffers()] == want_buffers
+
+    @pytest.mark.parametrize("convs_per_block", [1, 2])
+    def test_forward_dispatches_each_record_through_module_ops(
+            self, monkeypatch, convs_per_block):
+        cfg = ModelConfig(**dict(self.TINY, convs_per_block=convs_per_block))
+        params = build(cfg, Rng(1))
+        calls = {"conv2d": 0, "deconv2d": 0, "batch_norm": 0}
+
+        def counting(op):
+            orig = getattr(model, op)
+
+            def wrapped(*args, **kwargs):
+                calls[op] += 1
+                return orig(*args, **kwargs)
+            return wrapped
+
+        for op in calls:
+            monkeypatch.setattr(model, op, counting(op))
+        img = Tensor(Rng(2).uniform(0, 1, (1, 3, 8, 8)).astype(np.float32))
+        forward(params, img, mode="inference")
+        assert calls == {
+            "conv2d": sum(not layer.transposed for layer in params.layers),
+            "deconv2d": sum(layer.transposed for layer in params.layers),
+            "batch_norm": sum(layer.bn is not None for layer in params.layers),
+        }
+        assert calls["deconv2d"] == cfg.levels
+        assert calls["conv2d"] + calls["deconv2d"] == len(params.layers)

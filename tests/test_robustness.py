@@ -67,8 +67,9 @@ class TestInputGradient:
     def test_doubling_embedding_head_doubles_gradient(self, image):
         cfg, params = tiny_model(seed=5)
         g1 = input_gradient(params, image)
-        params.emb_head.weight.data *= 2.0
-        params.emb_head.bias.data *= 2.0
+        named = dict(params.named_parameters())
+        named["emb.w"].data *= 2.0
+        named["emb.b"].data *= 2.0
         g2 = input_gradient(params, image)
         np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-6)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ def tiny_setup(seed=0, **train_overrides):
                      seed=seed, **train_overrides)
     data = generate_synthetic(6, 8, Rng(seed + 100))
     return cfg, params, tc, data
+
+
+def split_checkpoint(raw):
+    """(header dict, payload bytes) of a checkpoint file's contents."""
+    hlen = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+    return json.loads(raw[16:16 + hlen]), raw[16 + hlen:]
+
+
+def join_checkpoint(header, payload):
+    text = json.dumps(header).encode()
+    return (b"MENT" + np.uint32(FORMAT_VERSION).tobytes()
+            + np.uint64(len(text)).tobytes() + text + payload)
 
 
 def forward_fingerprint(params, image):
@@ -272,3 +286,94 @@ class TestCheckpoint:
             load_checkpoint(p)
         assert "truncated" in str(exc.value)
         assert "buffer:scale6.bn.running_" in str(exc.value)
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        """A fresh tiny-model checkpoint with optimizer state, as
+        (path, header, payload)."""
+        cfg, params, tc, _ = tiny_setup()
+        path = tmp_path / "c.ment"
+        save_checkpoint(path, params, train_config=tc, optim_state=OptimState())
+        header, payload = split_checkpoint(path.read_bytes())
+        return path, header, payload
+
+    def assert_rejected(self, path, raw, match):
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_short_preamble_rejected(self, tmp_path):
+        self.assert_rejected(tmp_path / "s.ment", b"MENT", "truncated preamble")
+
+    def test_truncated_header_rejected(self, saved):
+        path, _, _ = saved
+        raw = path.read_bytes()
+        self.assert_rejected(path, raw[:20], "truncated header")
+
+    def test_undecodable_header_rejected(self, saved):
+        path, header, payload = saved
+        raw = bytearray(join_checkpoint(header, payload))
+        raw[16] = 0xFF  # neither UTF-8 nor JSON
+        self.assert_rejected(path, bytes(raw), "undecodable header")
+
+    def test_malformed_header_rejected(self, saved):
+        path, header, payload = saved
+        del header["iteration"]
+        self.assert_rejected(path, join_checkpoint(header, payload),
+                             "malformed header")
+
+    def test_trailing_bytes_rejected(self, saved):
+        path, header, payload = saved
+        self.assert_rejected(path, join_checkpoint(header, payload) + b"\0",
+                             "trailing bytes")
+
+    def test_unknown_blob_rejected(self, saved):
+        path, header, payload = saved
+        header["blobs"][0][0] = "param:enc9.conv0.w"
+        self.assert_rejected(path, join_checkpoint(header, payload),
+                             "unknown blob 'param:enc9.conv0.w'")
+
+    def test_duplicate_blob_rejected(self, saved):
+        path, header, payload = saved
+        header["blobs"][1][0] = header["blobs"][0][0]
+        self.assert_rejected(path, join_checkpoint(header, payload),
+                             "duplicate blob 'param:input.conv.w'")
+
+    def test_unexpected_dtype_rejected(self, saved):
+        path, header, payload = saved
+        header["blobs"][0][1] = "int32"  # same width as float32
+        self.assert_rejected(path, join_checkpoint(header, payload),
+                             "unsupported dtype 'int32'")
+
+    def test_shape_mismatch_rejected(self, saved):
+        path, header, payload = saved
+        header["blobs"][0][2] = [int(np.prod(header["blobs"][0][2]))]
+        self.assert_rejected(path, join_checkpoint(header, payload),
+                             "model expects")
+
+    def test_missing_optimizer_blob_rejected(self, saved):
+        path, header, payload = saved
+        last = header["blobs"].pop()
+        assert last[0] == "optim:ce.b"
+        payload = payload[:-4 * int(np.prod(last[2]))]
+        self.assert_rejected(path, join_checkpoint(header, payload),
+                             "missing blob 'optim:ce.b'")
+
+    def test_directory_checked_before_payload(self, saved):
+        path, header, payload = saved
+        header["blobs"][-1][0] = "optim:nope"
+        self.assert_rejected(path, join_checkpoint(header, b""),
+                             "unknown blob 'optim:nope'")
+
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_velocity_blobs_keep_parameter_dtype(self, tmp_path, stepped):
+        cfg, params, tc, data = tiny_setup(seed=14)
+        state = OptimState()
+        if stepped:
+            state, _, _ = train_loop(params, tc, data, log=lambda m: None)
+        path = tmp_path / "d.ment"
+        save_checkpoint(path, params, train_config=tc, optim_state=state)
+        header, _ = split_checkpoint(path.read_bytes())
+        dtypes = {name: dtype for name, dtype, _ in header["blobs"]}
+        for name, _ in params.named_parameters():
+            assert dtypes["optim:" + name] == dtypes["param:" + name] == "float32"
