@@ -125,13 +125,13 @@ class ForwardOutput:
     ce_probs: Tensor          # (N, 2, I, I)
 
 
-def _init_conv(rng, cin, cout, k, stride, dtype, transposed=False):
-    """Fan-in-scaled normal weights, (cout, cin, k, k) for a conv and
-    (cin, cout, k, k) for a transposed conv; zero bias."""
+def _init_conv(weights, cin, cout, k, stride, dtype, transposed=False):
+    """Kernel ``weights(shape, std)`` with the fan-in-scaled std, shape
+    (cout, cin, k, k) for a conv and (cin, cout, k, k) for a transposed
+    conv; zero bias."""
     shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
     std = float(np.sqrt(2.0 / (cin * k * k)))
-    return ConvParams(weight=Tensor(rng.normal(shape, std=std, dtype=dtype),
-                                    requires_grad=True),
+    return ConvParams(weight=Tensor(weights(shape, std), requires_grad=True),
                       bias=Tensor(np.zeros(cout, dtype=dtype), requires_grad=True),
                       stride=stride)
 
@@ -144,6 +144,14 @@ def _init_bn(c, dtype):
 def build(config: ModelConfig, rng: Rng, dtype=np.float32) -> ModelParams:
     """Initialize all parameters: fan-in-scaled normal weights, zero biases,
     unit-gain batch norms.  Deterministic given the rng state."""
+    return _build(config, lambda shape, std: rng.normal(shape, std=std, dtype=dtype),
+                  dtype)
+
+
+def _build(config: ModelConfig, weights, dtype) -> ModelParams:
+    """The layer walk behind ``build``: ``weights(shape, std)`` supplies each
+    conv kernel in list order (the checkpoint loader passes zeros, which it
+    then overwrites, instead of drawing)."""
     kconv = config.convs_per_block
     levels = config.levels
     p = ModelParams(config=config)
@@ -151,7 +159,7 @@ def build(config: ModelConfig, rng: Rng, dtype=np.float32) -> ModelParams:
 
     def add(role, name, cin, cout, bn_name=None, k=3, stride=1,
             transposed=False, join=None, tap=False):
-        conv = _init_conv(rng, cin, cout, k, stride, dtype, transposed)
+        conv = _init_conv(weights, cin, cout, k, stride, dtype, transposed)
         bn = _init_bn(cout, dtype) if bn_name else None
         p.layers.append(Layer(role, name, conv, bn_name, bn, transposed, join, tap))
         if tap:

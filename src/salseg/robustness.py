@@ -114,7 +114,9 @@ def scalarized_output(params: ModelParams, image, head="metric",
 def input_gradient(params: ModelParams, image, head="metric",
                    mode="inference") -> np.ndarray:
     """Exact gradient of the probe scalar with respect to one (C, H, W)
-    input image; one forward and one backward pass."""
+    input image; one forward and one backward pass.  The pass also leaves
+    gradients on the model's parameters; ``train_loop`` discards any such
+    leftovers before its own backward pass."""
     _check_head(head)
     if mode != "inference":
         raise ValueError("input gradients require inference mode; train-mode "

@@ -4,6 +4,11 @@ Every tensor remembers the operation that produced it (define-by-run), so a
 single backward pass over the recorded graph yields gradients for all inputs
 that asked for them.  Arrays are plain numpy; float32 is the training dtype,
 float64 the verification dtype.
+
+A Python scalar meeting a tensor takes the tensor's dtype (NumPy's weak-scalar
+rule), so a float32 graph stays float32 forward and backward, from the loss
+down to every parameter gradient, while a float64 graph stays float64.
+Arrays and tensors keep NumPy's ordinary promotion.
 """
 
 from __future__ import annotations
@@ -134,7 +139,7 @@ class Tensor:
     # -- elementwise arithmetic ----------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = _coerce(other, self)
         out = self.data + other.data
 
         def bwd(g):
@@ -145,7 +150,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = _coerce(other, self)
         out = self.data - other.data
 
         def bwd(g):
@@ -154,10 +159,10 @@ class Tensor:
         return Tensor._make(out, (self, other), bwd)
 
     def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
+        return _coerce(other, self).__sub__(self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = _coerce(other, self)
         out = self.data * other.data
         a, b = self, other
 
@@ -280,9 +285,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def _coerce(x) -> Tensor:
+def _coerce(x, like: Tensor) -> Tensor:
+    """Wrap an operand of ``like``; a Python number becomes a 0-d array of
+    the dtype NumPy gives ``like.data`` combined with it as a weak scalar."""
     if isinstance(x, Tensor):
         return x
+    if isinstance(x, (int, float)):
+        return Tensor(np.asarray(x, dtype=np.result_type(like.data, x)))
     return Tensor(np.asarray(x))
 
 

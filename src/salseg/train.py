@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .tensor import Rng
-from .model import ModelConfig, ModelParams, build, forward
+from .model import ModelConfig, ModelParams, _build, forward
 from .losses import (SampleSet, combined_loss, cross_entropy,
                      per_pixel_cross_entropy, hard_negative_sample)
 from .saliency import saliency_maps
@@ -244,10 +244,13 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
         for t in totals[1:]:
             total = total + t
         total = total * (1.0 / len(totals))
+        named = params.named_parameters()
+        for _, p in named:
+            p.zero_grad()  # backward accumulates: drop leftovers of other passes
         total.backward(np.ones(()))
 
         grads = {}
-        for name, p in params.named_parameters():
+        for name, p in named:
             if p.grad is not None:
                 grads[name] = p.grad
             p.zero_grad()
@@ -379,7 +382,10 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         header = _read_header(path, f)
         try:
-            params = build(ModelConfig.from_dict(header["model"]), Rng(0))
+            # zero placeholders of the right shapes; every blob replaces one
+            params = _build(ModelConfig.from_dict(header["model"]),
+                            lambda shape, std: np.zeros(shape, np.float32),
+                            np.float32)
             train_config = (TrainConfig.from_dict(header["train"])
                             if header["train"] else None)
         except (TypeError, ValueError) as e:

@@ -38,6 +38,8 @@ COMBINED_TRAIN = dict(loss="combined", learning_rate=0.003, clip_norm=1.0,
 CE_TRAIN = dict(loss="ce", learning_rate=0.1, iterations=1200,
                 checkpoint_interval=400, seed=0)
 
+pytestmark = pytest.mark.acceptance
+
 
 @pytest.fixture(scope="session")
 def desk_data():
@@ -125,6 +127,7 @@ class TestDeskTraining:
         _, test = desk_data
         assert history[-1][0] + 1 <= 5000
         report = validate(params, test)
+        print(f"\ncombined: F={report.f_beta:.4f}, MAE={report.mae:.4f}")
         assert report.f_beta >= 0.80, f"F={report.f_beta:.4f}"
         assert report.mae <= 0.10, f"MAE={report.mae:.4f}"
 

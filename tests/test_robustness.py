@@ -84,6 +84,18 @@ class TestInputGradient:
             input_gradient(params, image, head="stack")
 
 
+class TestParameterGradients:
+    @pytest.mark.parametrize("head", ["metric", "ce"])
+    def test_probes_without_input_gradient_write_none(self, image, head):
+        cfg, params = tiny_model(seed=5)
+        mc_directional_norm(params, image, n_samples=3, rng=Rng(1), head=head)
+        scalarized_output(params, image, head=head)
+        distortion_sensitivity(params, image, DistortionSpec(kind="awgn", sigma=0.1),
+                               rng=Rng(2), head=head)
+        lipschitz_bound(params, head=head)
+        assert all(p.grad is None for _, p in params.named_parameters())
+
+
 class TestJacobianStats:
     def test_constant_field(self):
         rep = jacobian_stats([np.full((3, 4, 4), -2.0)])

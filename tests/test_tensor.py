@@ -162,3 +162,37 @@ class TestRng:
     def test_sphere_zero_dim_rejected(self):
         with pytest.raises(ValueError):
             Rng(8).uniform_sphere(0)
+
+
+SCALAR_OPS = {
+    "t * 0.5": lambda t: t * 0.5,
+    "0.5 * t": lambda t: 0.5 * t,
+    "t + 1": lambda t: t + 1,
+    "1 - t": lambda t: 1 - t,
+    "t - 2.0": lambda t: t - 2.0,
+    "t.mean()": lambda t: t.mean(),
+}
+
+
+class TestScalarDtype:
+    """A Python scalar takes the tensor's dtype, forward and backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(SCALAR_OPS))
+    def test_scalar_keeps_tensor_dtype(self, op, dtype):
+        t = Tensor(np.arange(1.0, 7.0, dtype=dtype).reshape(2, 3),
+                   requires_grad=True)
+        y = SCALAR_OPS[op](t)
+        assert y.dtype == dtype
+        y.sum().backward()
+        assert t.grad.dtype == dtype
+
+    def test_integer_tensor_times_half_is_float64(self):
+        y = Tensor(np.arange(4)) * 0.5
+        assert y.dtype == np.float64
+        np.testing.assert_array_equal(y.data, [0.0, 0.5, 1.0, 1.5])
+
+    def test_arrays_keep_numpy_promotion(self):
+        t = Tensor(np.ones(2, dtype=np.float32))
+        assert (t * np.full(2, 0.5)).dtype == np.float64
+        assert (t + Tensor(np.zeros(2))).dtype == np.float64

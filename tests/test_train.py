@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from salseg import train
 from salseg.tensor import Tensor, Rng
 from salseg.model import ModelConfig, build, forward
 from salseg.data import generate_synthetic
+from salseg.losses import SampleSet, combined_loss
+from salseg.robustness import input_gradient
 from salseg.train import (TrainConfig, OptimState, CheckpointError, sgd_step,
                           train_loop, validate, save_checkpoint,
                           load_checkpoint, FORMAT_VERSION)
@@ -213,6 +217,35 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train_loop(params, tc, [], log=lambda m: None)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_keep_model_dtype(self, monkeypatch, dtype):
+        cfg, _, tc, data = tiny_setup(seed=14)
+        params = build(cfg, Rng(14), dtype=dtype)
+        tc = replace(tc, iterations=1)
+        seen = []
+        real_step = train.sgd_step
+
+        def spy(params, grads, *args):
+            seen.append({n: g.dtype for n, g in grads.items()})
+            return real_step(params, grads, *args)
+
+        monkeypatch.setattr(train, "sgd_step", spy)
+        train_loop(params, tc, data, log=lambda m: None)
+        assert len(seen) == 1 and seen[0]
+        assert set(seen[0].values()) == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("head", ["metric", "ce"])
+    def test_probe_gradients_do_not_leak_into_a_step(self, head):
+        cfg, params, tc, data = tiny_setup(seed=15)
+        tc = replace(tc, iterations=1)
+        clean = build(cfg, Rng(15))
+        input_gradient(params, data[0].image, head=head)
+        train_loop(params, tc, data, log=lambda m: None)
+        train_loop(clean, tc, data, log=lambda m: None)
+        for (n, p), (_, q) in zip(params.named_parameters(),
+                                  clean.named_parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=n)
+
     def test_validate_report_ranges(self):
         cfg, params, tc, data = tiny_setup(seed=8)
         rep = validate(params, data[:3])
@@ -220,7 +253,37 @@ class TestTrainLoop:
         assert 0.0 <= rep.mae <= 1.0
 
 
+class TestLosses:
+    def test_combined_loss_of_float32_embedding_is_float32(self):
+        rng = Rng(16)
+        emb = Tensor(rng.normal((4, 8, 8), dtype=np.float32), requires_grad=True)
+        probs = Tensor(np.full((2, 8, 8), 0.5, dtype=np.float32))
+        labels = np.zeros((8, 8), dtype=bool)
+        labels[2:5, 2:5] = True
+        sample = SampleSet(positive=np.flatnonzero(labels)[:4],
+                           negative=np.flatnonzero(~labels)[:4])
+        lv = combined_loss(emb, probs, labels, sample, lam=1.0)
+        assert lv.total.dtype == np.float32
+        lv.total.backward()
+        assert emb.grad.dtype == np.float32
+
+
 class TestCheckpoint:
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
+        cfg, params, tc, data = tiny_setup(seed=17)
+        path = tmp_path / "c.ment"
+        save_checkpoint(path, params, train_config=tc, iteration=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew from the rng")
+
+        monkeypatch.setattr(Rng, "normal", refuse)
+        ck = load_checkpoint(path)
+        for (n, p), (_, q) in zip(params.named_parameters(),
+                                  ck.params.named_parameters()):
+            assert p.data.dtype == q.data.dtype
+            assert p.data.tobytes() == q.data.tobytes(), n
+
     def test_round_trip_preserves_forward_outputs(self, tmp_path):
         cfg, params, tc, data = tiny_setup(seed=9)
         train_loop(params, tc, data, log=lambda m: None)  # move off init
