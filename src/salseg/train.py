@@ -148,9 +148,10 @@ def sgd_step(params: ModelParams, grads: dict, state: OptimState,
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is at most
-    ``max_norm``; returns the pre-clip norm."""
-    total = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
-                              for g in grads.values())))
+    ``max_norm``; returns the pre-clip norm.  Each tensor's squared norm is
+    a BLAS dot in the gradient's own dtype; the per-tensor sums are added
+    as Python floats."""
+    total = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
     if total > max_norm and total > 0:
         factor = max_norm / total
         for name in grads:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from salseg.tensor import Tensor, Rng, finite_diff_check
 from salseg import layers
@@ -149,6 +150,55 @@ class TestDeconv2d:
             return deconv2d(x, p).square().sum()
 
         assert finite_diff_check(fn, Tensor(rng.normal((2 * 2 * 3 * 3,)))) < 1e-4
+
+
+class TestConvProperties:
+    """conv2d against ``conv_oracle`` over map sizes 1x1 to 32x32, kernels 1
+    and 3, strides 1 and 2, one to four channels, batch 1-3, float32 and
+    float64: the forward map, the data gradient through
+    <conv(x), y> == <x, conv^T(y)>, and the weight gradient through
+    <conv_dw(x), y> == <dw, grad_w> (both sides are linear in x and w)."""
+
+    @given(n=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 4),
+           h=st.integers(1, 32), w=st.integers(1, 32),
+           k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=2, cin=4, cout=4, h=1, w=1, k=3, stride=1, dtype=np.float64, seed=0)
+    @example(n=3, cin=4, cout=1, h=32, w=32, k=3, stride=1, dtype=np.float32, seed=1)
+    @example(n=3, cin=4, cout=1, h=32, w=32, k=3, stride=2, dtype=np.float64, seed=2)
+    @example(n=1, cin=1, cout=3, h=2, w=2, k=3, stride=2, dtype=np.float64, seed=3)
+    @example(n=2, cin=3, cout=2, h=1, w=1, k=1, stride=1, dtype=np.float32, seed=4)
+    def test_matches_oracle(self, n, cin, cout, h, w, k, stride, dtype, seed):
+        if stride == 2:  # conv2d halves even sizes only
+            h, w = h + h % 2, w + w % 2
+        tol = 1e-4 if dtype == np.float32 else 1e-10
+        pad = (k - 1) // 2
+        rng = Rng(seed)
+        p = make_conv(rng, oc=cout, ic=cin, k=k, stride=stride, dtype=dtype)
+        x = Tensor(rng.normal((n, cin, h, w), dtype=dtype), requires_grad=True)
+        wt, b = p.weight.data.astype(np.float64), p.bias.data.astype(np.float64)
+        x64 = x.data.astype(np.float64)
+
+        y = conv2d(x, p)
+        want = conv_oracle(x64, wt, b, stride, pad)
+        assert y.data.dtype == dtype and y.data.shape == want.shape
+        np.testing.assert_allclose(y.data, want, rtol=0, atol=tol * (
+            np.abs(x64).max() * np.abs(wt).sum() + np.abs(b).max()))
+
+        gy = rng.normal(want.shape, dtype=dtype)
+        y.backward(gy)
+        gy64 = gy.astype(np.float64)
+        # sum of |w| * ||x|| * ||gy|| bounds the sum of |terms| of either side
+        norms = np.linalg.norm(x64) * np.linalg.norm(gy64)
+        lhs = ((want - b.reshape(1, -1, 1, 1)) * gy64).sum()
+        rhs = (x64 * x.grad).sum()
+        assert abs(lhs - rhs) <= tol * np.abs(wt).sum() * norms
+
+        dw = rng.normal(wt.shape)
+        lhs = (conv_oracle(x64, dw, np.zeros(cout), stride, pad) * gy64).sum()
+        rhs = (dw * p.weight.grad).sum()
+        assert abs(lhs - rhs) <= tol * np.abs(dw).sum() * norms
 
 
 class TestBatchNorm:

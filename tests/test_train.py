@@ -77,6 +77,22 @@ class TestGradientControls:
         clip_gradients(grads, 1.0)
         np.testing.assert_allclose(grads["a"], [0.3, 0.4])
 
+    def test_clip_of_float32_gradients_matches_float64_norm(self):
+        from salseg.train import clip_gradients
+        params = build(ModelConfig(input_size=64, base_channels=4), Rng(0))
+        rng = np.random.default_rng(1)
+        grads = {name: (rng.standard_normal(t.data.shape)
+                        * 10.0 ** rng.uniform(-4, 1)).astype(np.float32)
+                 for name, t in params.named_parameters()}
+        want = np.sqrt(sum((g.astype(np.float64) ** 2).sum()
+                           for g in grads.values()))
+        pre = clip_gradients(grads, 1.0)
+        assert pre == pytest.approx(want, rel=1e-5)
+        after = np.sqrt(sum((g.astype(np.float64) ** 2).sum()
+                            for g in grads.values()))
+        assert after <= 1 + 1e-5
+        assert all(g.dtype == np.float32 for g in grads.values())
+
     def test_warmup_uses_ce_only_then_switches(self):
         tc = TrainConfig(loss="combined", warmup_iterations=2,
                          warmup_learning_rate=0.5, learning_rate=0.01)
