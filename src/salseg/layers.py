@@ -2,18 +2,21 @@
 normalization, ReLU, two-channel softmax, channel concatenation, replication
 upsampling and a small max-pool fixture.
 
-Convolutions are 3x3 (or 1x1 for the heads) with zero padding chosen so that
-stride-1 layers preserve spatial size and stride-2 layers exactly halve it;
-transposed convolutions exactly double it.
+Kernels are k x k with zero padding (k - 1) // 2, so 3x3 and 1x1 stride-1
+layers preserve spatial size and 3x3 and 2x2 stride-2 layers exactly halve
+it; transposed convolutions exactly double it.
 
 Each convolution kernel is one BLAS GEMM.  The forward map and the weight
 gradient multiply by the patch matrix: the padded input's kh*kw taps copied
 once into a contiguous (C*kh*kw, N*Ho*Wo) array whose rows are in the
-kernel's (C, kh, kw) order.  The data gradient (which is also the transposed
-convolution's forward map) multiplies by the transposed kernel matrix and
-adds the result back into the input with one strided slice per tap (col2im):
-the stride is applied in the scatter index, not by dilating the input with
-zeros.
+kernel's (C, kh, kw) order.  ``conv2d`` keeps the patch matrix its forward
+pass built for the weight gradient, and only when that gradient is wanted;
+``deconv2d`` builds the patch matrix of its output gradient once per
+backward pass and uses it for both of its gradients.  The data gradient
+(which is also the transposed convolution's forward map) multiplies by the
+transposed kernel matrix and adds the result back into the input with one
+strided slice per tap (col2im): the stride is applied in the scatter index,
+not by dilating the input with zeros.
 """
 
 from __future__ import annotations
@@ -85,26 +88,21 @@ def _rows(g):
     return g.transpose(1, 0, 2, 3).reshape(g.shape[1], -1)
 
 
-def _conv_fwd(x, w, stride, pad):
-    """Correlation of ``x`` with ``w`` (oc, C, kh, kw): one GEMM of the
-    (oc, C*kh*kw) kernel matrix with the (C*kh*kw, N*Ho*Wo) patch matrix of
-    ``x`` (see ``_patches``; the stride is the step of its tap slices)."""
-    n, c = x.shape[:2]
-    oc, ic, kh, kw = w.shape
-    if c != ic:
-        raise ValueError(f"channel mismatch: input has {c}, kernel expects {ic}")
-    cols, (ho, wo) = _patches(x, kh, kw, stride, pad)
+def _conv_fwd(cols, w, n, out_hw):
+    """Correlation with ``w`` (oc, C, kh, kw), given the (C*kh*kw, N*Ho*Wo)
+    patch matrix of its input (see ``_patches``; the stride is the step of
+    its tap slices): one GEMM with the (oc, C*kh*kw) kernel matrix."""
+    oc = w.shape[0]
     out = w.reshape(oc, -1) @ cols
-    return np.ascontiguousarray(out.reshape(oc, n, ho, wo).transpose(1, 0, 2, 3))
+    return np.ascontiguousarray(out.reshape(oc, n, *out_hw).transpose(1, 0, 2, 3))
 
 
-def _conv_bwd_w(x, gy, stride, pad, kh, kw):
-    """Gradient of the correlation w.r.t. its (oc, C, kh, kw) kernel: one
-    GEMM of the (oc, N*Ho*Wo) output gradient with the transposed
-    (C*kh*kw, N*Ho*Wo) patch matrix of ``x`` (see ``_patches``), whose rows
-    are already in kernel order."""
-    cols, _ = _patches(x, kh, kw, stride, pad)
-    return (_rows(gy) @ cols.T).reshape(gy.shape[1], x.shape[1], kh, kw)
+def _conv_bwd_w(cols, gy, w_shape):
+    """Gradient of the correlation w.r.t. its kernel of shape ``w_shape``
+    (oc, C, kh, kw), given the patch matrix of its input: one GEMM of the
+    (oc, N*Ho*Wo) output gradient with the transposed patch matrix, whose
+    rows are already in kernel order."""
+    return (_rows(gy) @ cols.T).reshape(w_shape)
 
 
 def _conv_bwd_data(gy, w, stride, pad, in_hw):
@@ -144,15 +142,20 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     w, b, stride, pad = params.weight, params.bias, params.stride, params.pad
     if stride not in (1, 2):
         raise ValueError("stride must be 1 or 2")
-    h, wd = x.data.shape[2], x.data.shape[3]
+    n, c, h, wd = x.data.shape
+    if c != w.data.shape[1]:
+        raise ValueError(f"channel mismatch: input has {c}, kernel expects {w.data.shape[1]}")
     if stride == 2 and (h % 2 or wd % 2):
         raise ValueError(f"stride-2 conv needs even spatial size, got {h}x{wd}")
-    out = _conv_fwd(x.data, w.data, stride, pad) + b.data.reshape(1, -1, 1, 1)
-    kh, kw = w.data.shape[2], w.data.shape[3]
+    cols, out_hw = _patches(x.data, w.data.shape[2], w.data.shape[3], stride, pad)
+    out = _conv_fwd(cols, w.data, n, out_hw) + b.data.reshape(1, -1, 1, 1)
+    # the weight gradient is the one reader of the forward's patch matrix:
+    # the closure keeps it only when that gradient is wanted
+    cols = cols if w.requires_grad else None
 
     def bwd(g):
         gx = _conv_bwd_data(g, w.data, stride, pad, (h, wd)) if x.requires_grad else None
-        gw = _conv_bwd_w(x.data, g, stride, pad, kh, kw) if w.requires_grad else None
+        gw = _conv_bwd_w(cols, g, w.data.shape) if w.requires_grad else None
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         return gx, gw, gb
 
@@ -166,16 +169,21 @@ def deconv2d(x: Tensor, params: ConvParams) -> Tensor:
     if params.stride != 2:
         raise ValueError("deconv2d requires stride 2")
     cin, cout, kh, kw = w.data.shape
-    if x.data.shape[1] != cin:
-        raise ValueError(f"channel mismatch: input has {x.data.shape[1]}, kernel expects {cin}")
+    n, c, h, wd = x.data.shape
+    if c != cin:
+        raise ValueError(f"channel mismatch: input has {c}, kernel expects {cin}")
     pad = params.pad
-    h, wd = x.data.shape[2], x.data.shape[3]
-    out_hw = (2 * h, 2 * wd)
-    out = _conv_bwd_data(x.data, w.data, 2, pad, out_hw) + b.data.reshape(1, -1, 1, 1)
+    out = _conv_bwd_data(x.data, w.data, 2, pad, (2 * h, 2 * wd)) + b.data.reshape(1, -1, 1, 1)
 
     def bwd(g):
-        gx = _conv_fwd(g, w.data, 2, pad) if x.requires_grad else None
-        gw = _conv_bwd_w(g, x.data, 2, pad, kh, kw) if w.requires_grad else None
+        gx = gw = None
+        if x.requires_grad or w.requires_grad:
+            # both gradients multiply the patch matrix of g: build it once
+            cols, _ = _patches(g, kh, kw, 2, pad)
+            if x.requires_grad:
+                gx = _conv_fwd(cols, w.data, n, (h, wd))
+            if w.requires_grad:
+                gw = _conv_bwd_w(cols, x.data, w.data.shape)
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         return gx, gw, gb
 

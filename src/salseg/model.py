@@ -17,6 +17,12 @@ block start that joins the mirrored skip; a per-scale extractor; or a head).
 ``forward``, the parameter and buffer naming (hence the checkpoint blob
 directory) and the robustness toolkit's absolute network all walk that list,
 in its order, which is also the order of the initializer's random draws.
+
+Every kernel is stored as its live taps only: the taps that can reach a real
+pixel of the layer's map.  A 3x3 conv at the 1x1 bottleneck keeps its centre
+tap (a 1x1 kernel), and the stride-2 conv from 2x2 to 1x1 and the transposed
+conv from 1x1 to 2x2 keep a 2x2 kernel; the taps cut away would only ever
+multiply zero padding, so the network's function is that of the 3x3 one.
 """
 
 from __future__ import annotations
@@ -125,13 +131,30 @@ class ForwardOutput:
     ce_probs: Tensor          # (N, 2, I, I)
 
 
-def _init_conv(weights, cin, cout, k, stride, dtype, transposed=False):
-    """Kernel ``weights(shape, std)`` with the fan-in-scaled std, shape
+def _live_taps(k, size, stride):
+    """The per-axis slice of a k x k kernel (padding (k - 1) // 2) that
+    holds the taps reaching a real pixel of a size x size input; the others
+    only ever multiply zero padding.  A 3x3 kernel keeps its centre tap at a
+    1x1 map (stride 1) and taps 1-2 for a 2x2 map at stride 2; larger maps
+    keep all taps.  The cut kernel's own padding lines up with the cut."""
+    pad = (k - 1) // 2
+    out = (size + 2 * pad - k) // stride + 1
+    live = slice(max(0, pad - stride * (out - 1)), min(k, pad + size))
+    assert (live.stop - live.start - 1) // 2 == pad - live.start
+    return live
+
+
+def _init_conv(weights, cin, cout, k, size, stride, dtype, transposed=False):
+    """Kernel ``weights(shape, std)`` with the k x k fan-in-scaled std, shape
     (cout, cin, k, k) for a conv and (cin, cout, k, k) for a transposed
-    conv; zero bias."""
+    conv, then cut to its live taps on a size x size input (the output
+    map, for a transposed conv); zero bias.  The full k x k draw keeps each
+    seed's random stream, and so its function, independent of the cut."""
     shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
     std = float(np.sqrt(2.0 / (cin * k * k)))
-    return ConvParams(weight=Tensor(weights(shape, std), requires_grad=True),
+    live = _live_taps(k, size, stride)
+    weight = np.ascontiguousarray(weights(shape, std)[:, :, live, live])
+    return ConvParams(weight=Tensor(weight, requires_grad=True),
                       bias=Tensor(np.zeros(cout, dtype=dtype), requires_grad=True),
                       stride=stride)
 
@@ -155,24 +178,27 @@ def _build(config: ModelConfig, weights, dtype) -> ModelParams:
     kconv = config.convs_per_block
     levels = config.levels
     p = ModelParams(config=config)
-    feat_channels = [config.in_channels]  # scale 0 is the raw image
+    # (channels, map size) of each scale feature; scale 0 is the raw image
+    feats = [(config.in_channels, config.input_size)]
 
-    def add(role, name, cin, cout, bn_name=None, k=3, stride=1,
+    def add(role, name, cin, cout, size, bn_name=None, k=3, stride=1,
             transposed=False, join=None, tap=False):
-        conv = _init_conv(weights, cin, cout, k, stride, dtype, transposed)
+        # ``size`` is the input map of a conv and the output map of a
+        # transposed conv (the input of the conv it is the adjoint of)
+        conv = _init_conv(weights, cin, cout, k, size, stride, dtype, transposed)
         bn = _init_bn(cout, dtype) if bn_name else None
         p.layers.append(Layer(role, name, conv, bn_name, bn, transposed, join, tap))
         if tap:
-            feat_channels.append(cout)
+            feats.append((cout, size if transposed else size // stride))
 
-    c = config.base_channels
-    add("trunk", "input.conv", config.in_channels, c, "input.bn")
+    c, m = config.base_channels, config.input_size
+    add("trunk", "input.conv", config.in_channels, c, m, "input.bn")
     for b in range(levels):
         for j in range(kconv - 1):
-            add("trunk", f"enc{b}.conv{j}", c, c, f"enc{b}.bn{j}")
-        add("trunk", f"enc{b}.conv{kconv - 1}", c, 2 * c, f"enc{b}.bn{kconv - 1}",
+            add("trunk", f"enc{b}.conv{j}", c, c, m, f"enc{b}.bn{j}")
+        add("trunk", f"enc{b}.conv{kconv - 1}", c, 2 * c, m, f"enc{b}.bn{kconv - 1}",
             stride=2, tap=True)
-        c *= 2
+        c, m = 2 * c, m // 2
 
     # decoder mirrors: the block input is concatenated with the matching
     # encoder output (scale levels - b, same channel count), convs back to
@@ -180,21 +206,21 @@ def _build(config: ModelConfig, weights, dtype) -> ModelParams:
     for b in range(levels):
         cin, join = 2 * c, levels - b
         for j in range(kconv - 1):
-            add("trunk", f"dec{b}.conv{j}", cin, c, f"dec{b}.bn{j}", join=join)
+            add("trunk", f"dec{b}.conv{j}", cin, c, m, f"dec{b}.bn{j}", join=join)
             cin, join = c, None
-        add("trunk", f"dec{b}.deconv", cin, c // 2, f"dec{b}.bn{kconv - 1}",
+        add("trunk", f"dec{b}.deconv", cin, c // 2, 2 * m, f"dec{b}.bn{kconv - 1}",
             stride=2, transposed=True, join=join, tap=True)
-        c //= 2
+        c, m = c // 2, 2 * m
 
     # one single-map extractor per scale: raw image, then every encoder and
     # decoder block output
-    for s, sc in enumerate(feat_channels):
-        add("scale", f"scale{s}", sc, 1, f"scale{s}.bn")
+    for s, (sc, size) in enumerate(feats):
+        add("scale", f"scale{s}", sc, 1, size, f"scale{s}.bn")
 
     stack_ch = config.scale_count
-    add("head", "emb", stack_ch, config.embedding_dim, k=1)
+    add("head", "emb", stack_ch, config.embedding_dim, config.input_size, k=1)
     ce_in = stack_ch if config.ce_head_input == "stack" else config.embedding_dim
-    add("head", "ce", ce_in, 2, k=1)
+    add("head", "ce", ce_in, 2, config.input_size, k=1)
     return p
 
 

@@ -9,7 +9,16 @@ Checkpoint layout: 4 magic bytes "MENT", a little-endian uint32 format
 version, a uint64 header length, a JSON header (model and train configs,
 iteration counter, ordered blob directory), then the raw little-endian blob
 payloads in directory order.  Blobs cover parameters, batch-norm running
-statistics and, optionally, the optimizer's momentum buffers.
+statistics and, optionally, the optimizer's momentum buffers.  Version 2
+stores each convolution kernel as its live taps only (``model.py``): a 1x1
+kernel for the stride-1 convs at the 1x1 bottleneck, a 2x2 kernel for the
+2x2 -> 1x1 conv and the 1x1 -> 2x2 transposed conv, 3x3 elsewhere and 1x1
+for the heads.  Version-1 files, which held those kernels as full 3x3
+arrays, are rejected.
+
+Checkpoints (and ``best.ment``) are written to a temporary file in the same
+directory and then moved into place with ``os.replace``, so an interrupted
+write never leaves a torn file under the checkpoint's name.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .metrics import evaluate, aggregate
 from .data import augment
 
 MAGIC = b"MENT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -154,8 +163,8 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     total = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
     if total > max_norm and total > 0:
         factor = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * factor
+        for g in grads.values():
+            np.multiply(g, factor, out=g)
     return total
 
 
@@ -273,7 +282,8 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
                 if rep.f_beta > best_f:
                     best_f = rep.f_beta
                     best = rep
-                    shutil.copyfile(path, os.path.join(out_dir, "best.ment"))
+                    _replace_atomically(os.path.join(out_dir, "best.ment"),
+                                        lambda tmp: shutil.copyfile(path, tmp))
     if out_dir:
         write_loss_csv(os.path.join(out_dir, "loss.csv"), history)
     return optim_state, history, best
@@ -311,14 +321,32 @@ def save_checkpoint(path, params: ModelParams, train_config: TrainConfig = None,
         "blobs": [[name, str(arr.dtype), list(arr.shape)] for name, arr in blobs],
     }
     payload = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(np.uint32(FORMAT_VERSION).tobytes())
-        f.write(np.uint64(len(payload)).tobytes())
-        f.write(payload)
-        for _, arr in blobs:
-            f.write(np.ascontiguousarray(arr).astype(
-                arr.dtype.newbyteorder("<"), copy=False).tobytes())
+
+    def write(tmp):
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(np.uint32(FORMAT_VERSION).tobytes())
+            f.write(np.uint64(len(payload)).tobytes())
+            f.write(payload)
+            for _, arr in blobs:
+                f.write(np.ascontiguousarray(arr).astype(
+                    arr.dtype.newbyteorder("<"), copy=False).tobytes())
+
+    _replace_atomically(path, write)
+
+
+def _replace_atomically(path, write) -> None:
+    """``write(tmp)`` a temporary file next to ``path``, then move it onto
+    ``path``: the name holds either the old file or the whole new one.  The
+    temporary file is removed if the write raises."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 _BLOB_DTYPES = ("float32", "float64")

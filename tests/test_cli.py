@@ -110,6 +110,19 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")) == 2
         assert "truncated preamble" in capsys.readouterr().err
 
+    def test_version_1_checkpoint_is_data_error(self, tmp_path, capsys):
+        from salseg.model import ModelConfig, build
+        from salseg.tensor import Rng
+        from salseg.train import save_checkpoint
+        ckpt = tmp_path / "v1.ment"
+        save_checkpoint(ckpt, build(ModelConfig(**TINY["model"]), Rng(0)))
+        raw = bytearray(ckpt.read_bytes())
+        raw[4:8] = np.uint32(1).tobytes()
+        ckpt.write_bytes(bytes(raw))
+        assert run("infer", "--ckpt", str(ckpt), "--images", str(tmp_path),
+                   "--out", str(tmp_path / "o")) == 2
+        assert "unsupported format version 1" in capsys.readouterr().err
+
     def test_gradcheck_success(self, capsys):
         assert run("gradcheck") == 0
         out = capsys.readouterr().out

@@ -26,6 +26,23 @@ def conv_oracle(x, w, b, stride, pad):
     return out
 
 
+def deconv_oracle(x, w, b, stride, pad):
+    """Direct scatter: every input pixel adds its value times its (cout, kh,
+    kw) kernel slice into the padded output, which is then cropped; the
+    output is ``stride`` times the input size."""
+    n, cin, h, wd = x.shape
+    _, cout, kh, kw = w.shape
+    out = np.zeros((n, cout, stride * h + 2 * pad, stride * wd + 2 * pad))
+    for ni in range(n):
+        for c in range(cin):
+            for i in range(h):
+                for j in range(wd):
+                    out[ni, :, i * stride:i * stride + kh,
+                        j * stride:j * stride + kw] += x[ni, c, i, j] * w[c]
+    return (out[:, :, pad:pad + stride * h, pad:pad + stride * wd]
+            + b.reshape(1, -1, 1, 1))
+
+
 def make_conv(rng, oc, ic, k=3, stride=1, dtype=np.float64):
     return ConvParams(
         weight=Tensor(rng.normal((oc, ic, k, k), dtype=dtype), requires_grad=True),
@@ -66,6 +83,21 @@ class TestConv2d:
         p = make_conv(rng, oc=2, ic=1, stride=2)
         with pytest.raises(ValueError):
             conv2d(Tensor(rng.normal((1, 1, 5, 5))), p)
+
+    @pytest.mark.parametrize("weight_grad", [True, False])
+    def test_patch_matrix_kept_only_for_weight_gradient(self, weight_grad):
+        rng = Rng(10)
+        p = make_conv(rng, oc=4, ic=3)
+        p.weight.requires_grad = weight_grad
+        x = Tensor(rng.normal((2, 3, 8, 8)), requires_grad=True)
+        y = conv2d(x, p)
+        held = [cell.cell_contents for cell in y._backward_fn.__closure__]
+        patch_matrices = [a for a in held
+                          if isinstance(a, np.ndarray) and a.shape == (3 * 9, 2 * 64)]
+        assert len(patch_matrices) == int(weight_grad)
+        y.backward(rng.normal(y.data.shape))
+        assert (p.weight.grad is not None) == weight_grad
+        assert x.grad is not None
 
     def test_gradients_match_finite_differences(self):
         rng = Rng(3)
@@ -127,6 +159,19 @@ class TestDeconv2d:
         conv2d(xin, cp).backward(x)
         np.testing.assert_allclose(got, xin.grad, atol=1e-8)
 
+    def test_weight_gradient_without_input_gradient(self):
+        rng = Rng(11)
+        p = ConvParams(weight=Tensor(rng.normal((3, 2, 3, 3)), requires_grad=True),
+                       bias=Tensor(np.zeros(2)), stride=2)
+        x0, g = rng.normal((2, 3, 4, 4)), rng.normal((2, 2, 8, 8))
+        deconv2d(Tensor(x0), p).backward(g)
+        alone = p.weight.grad
+        p.weight.grad = None
+        x = Tensor(x0, requires_grad=True)
+        deconv2d(x, p).backward(g)
+        np.testing.assert_array_equal(alone, p.weight.grad)
+        assert x.grad is not None
+
     def test_requires_stride_2(self):
         p = ConvParams(weight=Tensor(np.ones((1, 1, 3, 3))), bias=Tensor(np.zeros(1)),
                        stride=1)
@@ -153,35 +198,56 @@ class TestDeconv2d:
 
 
 class TestConvProperties:
-    """conv2d against ``conv_oracle`` over map sizes 1x1 to 32x32, kernels 1
-    and 3, strides 1 and 2, one to four channels, batch 1-3, float32 and
-    float64: the forward map, the data gradient through
-    <conv(x), y> == <x, conv^T(y)>, and the weight gradient through
-    <conv_dw(x), y> == <dw, grad_w> (both sides are linear in x and w)."""
+    """conv2d and deconv2d against ``conv_oracle`` / ``deconv_oracle`` over
+    map sizes 1x1 to 32x32, kernels 1, 2 and 3, strides 1 and 2, one to four
+    channels, batch 1-3, float32 and float64: the forward map, the data
+    gradient through <f(x), y> == <x, f^T(y)>, and the weight gradient
+    through <f_dw(x), y> == <dw, grad_w> (f is linear in x and in w).  A 2x2
+    kernel (padding 0) and the transposed conv are stride 2 only."""
 
     @given(n=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 4),
            h=st.integers(1, 32), w=st.integers(1, 32),
-           k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+           k=st.sampled_from([1, 2, 3]), stride=st.sampled_from([1, 2]),
+           transposed=st.booleans(),
            dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2 ** 16))
-    @example(n=2, cin=4, cout=4, h=1, w=1, k=3, stride=1, dtype=np.float64, seed=0)
-    @example(n=3, cin=4, cout=1, h=32, w=32, k=3, stride=1, dtype=np.float32, seed=1)
-    @example(n=3, cin=4, cout=1, h=32, w=32, k=3, stride=2, dtype=np.float64, seed=2)
-    @example(n=1, cin=1, cout=3, h=2, w=2, k=3, stride=2, dtype=np.float64, seed=3)
-    @example(n=2, cin=3, cout=2, h=1, w=1, k=1, stride=1, dtype=np.float32, seed=4)
-    def test_matches_oracle(self, n, cin, cout, h, w, k, stride, dtype, seed):
-        if stride == 2:  # conv2d halves even sizes only
+    @example(n=2, cin=4, cout=4, h=1, w=1, k=3, stride=1, transposed=False,
+             dtype=np.float64, seed=0)
+    @example(n=3, cin=4, cout=1, h=32, w=32, k=3, stride=1, transposed=False,
+             dtype=np.float32, seed=1)
+    @example(n=3, cin=4, cout=1, h=32, w=32, k=3, stride=2, transposed=False,
+             dtype=np.float64, seed=2)
+    @example(n=1, cin=1, cout=3, h=2, w=2, k=3, stride=2, transposed=False,
+             dtype=np.float64, seed=3)
+    @example(n=2, cin=3, cout=2, h=1, w=1, k=1, stride=1, transposed=False,
+             dtype=np.float32, seed=4)
+    # the live-tap kernels of the model: 2x2 -> 1x1 conv, 1x1 -> 2x2 deconv
+    @example(n=2, cin=4, cout=3, h=2, w=2, k=2, stride=2, transposed=False,
+             dtype=np.float64, seed=5)
+    @example(n=3, cin=4, cout=2, h=1, w=1, k=2, stride=2, transposed=True,
+             dtype=np.float64, seed=6)
+    @example(n=2, cin=3, cout=4, h=1, w=1, k=2, stride=2, transposed=True,
+             dtype=np.float32, seed=7)
+    def test_matches_oracle(self, n, cin, cout, h, w, k, stride, transposed,
+                            dtype, seed):
+        if k == 2 or transposed:
+            stride = 2
+        if stride == 2 and not transposed:  # conv2d halves even sizes only
             h, w = h + h % 2, w + w % 2
+        op, oracle = (deconv2d, deconv_oracle) if transposed else (conv2d, conv_oracle)
         tol = 1e-4 if dtype == np.float32 else 1e-10
         pad = (k - 1) // 2
         rng = Rng(seed)
-        p = make_conv(rng, oc=cout, ic=cin, k=k, stride=stride, dtype=dtype)
+        shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
+        p = ConvParams(weight=Tensor(rng.normal(shape, dtype=dtype), requires_grad=True),
+                       bias=Tensor(rng.normal((cout,), dtype=dtype), requires_grad=True),
+                       stride=stride)
         x = Tensor(rng.normal((n, cin, h, w), dtype=dtype), requires_grad=True)
         wt, b = p.weight.data.astype(np.float64), p.bias.data.astype(np.float64)
         x64 = x.data.astype(np.float64)
 
-        y = conv2d(x, p)
-        want = conv_oracle(x64, wt, b, stride, pad)
+        y = op(x, p)
+        want = oracle(x64, wt, b, stride, pad)
         assert y.data.dtype == dtype and y.data.shape == want.shape
         np.testing.assert_allclose(y.data, want, rtol=0, atol=tol * (
             np.abs(x64).max() * np.abs(wt).sum() + np.abs(b).max()))
@@ -196,7 +262,7 @@ class TestConvProperties:
         assert abs(lhs - rhs) <= tol * np.abs(wt).sum() * norms
 
         dw = rng.normal(wt.shape)
-        lhs = (conv_oracle(x64, dw, np.zeros(cout), stride, pad) * gy64).sum()
+        lhs = (oracle(x64, dw, np.zeros(cout), stride, pad) * gy64).sum()
         rhs = (dw * p.weight.grad).sum()
         assert abs(lhs - rhs) <= tol * np.abs(dw).sum() * norms
 

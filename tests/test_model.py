@@ -38,15 +38,16 @@ class TestBuild:
     def test_init_statistics(self):
         cfg = ModelConfig(input_size=32, base_channels=16, convs_per_block=2)
         params = build(cfg, Rng(0))
-        for name, t in params.named_parameters():
-            if not name.endswith(".w") or t.data.size < 800:
+        for layer in params.layers:
+            t = layer.conv.weight
+            if t.data.size < 800:
                 continue
-            if ".deconv." in name:  # transposed layout: (cin, cout, kh, kw)
-                fan_in = t.data.shape[0] * np.prod(t.data.shape[2:])
-            else:
-                fan_in = np.prod(t.data.shape[1:])
-            target = np.sqrt(2.0 / fan_in)
-            assert abs(t.data.std() - target) / target < 0.1, name
+            # drawn with the fan-in of the full 3x3 kernel (1x1 for the
+            # heads), then cut to the live taps that are stored
+            k = 1 if layer.role == "head" else 3
+            cin = t.data.shape[0] if layer.transposed else t.data.shape[1]
+            target = np.sqrt(2.0 / (cin * k * k))
+            assert abs(t.data.std() - target) / target < 0.1, layer.name
 
     def test_biases_zero_bn_identity(self):
         params = build(small_config(), Rng(1))
@@ -215,3 +216,49 @@ class TestLayerList:
         }
         assert calls["deconv2d"] == cfg.levels
         assert calls["conv2d"] + calls["deconv2d"] == len(params.layers)
+
+
+class TestLiveTaps:
+    """Kernels are stored as the taps that can reach a real pixel: no stored
+    weight only ever multiplies zero padding, and the function is that of
+    the full 3x3 network drawn from the same seed."""
+
+    CFG = dict(input_size=16, base_channels=2, convs_per_block=2,
+               embedding_dim=4)
+
+    def test_no_dead_taps(self):
+        params = build(ModelConfig(**self.CFG), Rng(3), dtype=np.float64)
+        img = Tensor(Rng(4).uniform(0, 1, (4, 3, 16, 16)))
+        out = forward(params, img, mode="train")
+        (out.embedding.square().sum() + out.ce_probs.square().sum()).backward()
+        for layer in params.layers:
+            g = layer.conv.weight.grad
+            per_tap = np.abs(g).sum(axis=(0, 1))
+            assert (per_tap > 0).all(), (layer.name, per_tap)
+
+    def test_desk_model_cuts_four_kernels(self):
+        params = build(ModelConfig(input_size=64, base_channels=4), Rng(0))
+        shapes = {layer.name: layer.conv.weight.data.shape
+                  for layer in params.layers}
+        assert shapes["dec0.conv0"] == (256, 512, 1, 1)
+        assert shapes["enc5.conv1"] == (256, 128, 2, 2)
+        assert shapes["dec0.deconv"] == (256, 128, 2, 2)
+        assert shapes["scale6"] == (1, 256, 1, 1)
+        cut = {"dec0.conv0", "enc5.conv1", "dec0.deconv", "scale6", "emb", "ce"}
+        assert all(s[2:] == (3, 3) for n, s in shapes.items() if n not in cut)
+        assert sum(t.data.size for _, t in params.named_parameters()) == 1188754
+
+    def test_same_function_as_full_kernels(self, monkeypatch):
+        cfg = ModelConfig(**self.CFG)
+        cut = build(cfg, Rng(5), dtype=np.float64)
+        monkeypatch.setattr(model, "_live_taps", lambda k, size, stride: slice(None))
+        full = build(cfg, Rng(5), dtype=np.float64)
+        assert (sum(t.data.size for _, t in full.named_parameters())
+                > sum(t.data.size for _, t in cut.named_parameters()))
+        img = Rng(6).uniform(0, 1, (2, 3, 16, 16))
+        for mode in ("train", "inference"):
+            a = forward(cut, img, mode=mode)
+            b = forward(full, img, mode=mode)
+            for x, y in ((a.embedding, b.embedding), (a.ce_probs, b.ce_probs)):
+                np.testing.assert_allclose(x.data, y.data, rtol=0,
+                                           atol=1e-12 * np.abs(y.data).max())

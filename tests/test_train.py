@@ -93,6 +93,20 @@ class TestGradientControls:
         assert after <= 1 + 1e-5
         assert all(g.dtype == np.float32 for g in grads.values())
 
+    def test_clip_scales_the_arrays_in_place(self):
+        from salseg.train import clip_gradients
+        rng = np.random.default_rng(2)
+        grads = {name: rng.standard_normal(shape).astype(np.float32)
+                 for name, shape in (("a.w", (4, 3, 3, 3)), ("a.b", (4,)),
+                                     ("b.w", (2, 4, 1, 1)))}
+        arrays = dict(grads)
+        pre = clip_gradients(grads, 0.5)
+        assert pre > 0.5
+        assert all(grads[name] is arrays[name] for name in arrays)
+        after = np.sqrt(sum((g.astype(np.float64) ** 2).sum()
+                            for g in grads.values()))
+        assert after <= 0.5 * (1 + 1e-6)
+
     def test_warmup_uses_ce_only_then_switches(self):
         tc = TrainConfig(loss="combined", warmup_iterations=2,
                          warmup_learning_rate=0.5, learning_rate=0.01)
@@ -354,6 +368,75 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(p)
         assert "version" in str(exc.value)
+
+    def test_version_1_rejected(self, tmp_path):
+        cfg, params, tc, _ = tiny_setup()
+        p = tmp_path / "v1.ment"
+        save_checkpoint(p, params)
+        raw = bytearray(p.read_bytes())
+        raw[4:8] = np.uint32(1).tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            load_checkpoint(p)
+
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path,
+                                                         monkeypatch):
+        cfg, params, tc, data = tiny_setup(seed=15)
+        path = tmp_path / "c.ment"
+        save_checkpoint(path, params, train_config=tc, iteration=0)
+        before = path.read_bytes()
+        state, _, _ = train_loop(params, tc, data, log=lambda m: None)
+
+        real_open = open
+
+        class HalfWriter:
+            """A file that takes half a checkpoint's bytes, then fails."""
+
+            def __init__(self, *args):
+                self.f, self.budget = real_open(*args), len(before) // 2
+
+            def write(self, b):
+                take = min(len(b), self.budget)
+                self.f.write(bytes(b[:take]))
+                self.budget -= take
+                if take < len(b):
+                    raise OSError(28, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(train, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, params, train_config=tc, optim_state=state,
+                            iteration=3)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).iteration == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ment"]
+
+    def test_interrupted_best_copy_keeps_previous_best(self, tmp_path,
+                                                       monkeypatch):
+        cfg, params, tc, data = tiny_setup(seed=4)
+        best = tmp_path / "best.ment"
+        save_checkpoint(best, params, train_config=tc, iteration=0)
+        before = best.read_bytes()
+
+        def half_copy(src, dst):
+            raw = open(src, "rb").read()
+            open(dst, "wb").write(raw[:len(raw) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(train.shutil, "copyfile", half_copy)
+        with pytest.raises(OSError, match="No space left"):
+            train_loop(params, tc, data, val_set=generate_synthetic(2, 8, Rng(5)),
+                       out_dir=tmp_path, log=lambda m: None)
+        monkeypatch.undo()
+        assert best.read_bytes() == before
+        assert load_checkpoint(best).iteration == 0
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_truncation_names_blob(self, tmp_path):
         cfg, params, tc, _ = tiny_setup()
