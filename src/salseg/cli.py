@@ -45,9 +45,6 @@ _SECTION_DEFAULTS = {
     "model": ModelConfig().to_dict(),
     "train": TrainConfig().to_dict(),
     "data": {"n_train": 400, "n_val": 100, "size": 64, "seed": 0},
-    "distortion": {"kind": "awgn", "sigma": None, "quality": None,
-                   "sigma_range": [0.02, 0.20], "quality_range": [20, 80],
-                   "seed": 0},
     "eval": {"map": "metric"},
     "robustness": {"head": "metric", "norm": "l2",
                    "mc": {"p": 2.0, "t": 1e-4, "n_samples": 100}},
@@ -71,10 +68,6 @@ def _type_mismatch(default, value):
         return None if number and isinstance(value, int) else "an integer"
     if isinstance(default, float):
         return None if number else "a number"
-    if isinstance(default, list):
-        ok = (isinstance(value, list) and len(value) == len(default)
-              and not any(_type_mismatch(d, v) for d, v in zip(default, value)))
-        return None if ok else f"a list like {default}"
     return None if isinstance(value, type(default)) else f"a {type(default).__name__}"
 
 

@@ -9,14 +9,31 @@ it; transposed convolutions exactly double it.
 Each convolution kernel is one BLAS GEMM.  The forward map and the weight
 gradient multiply by the patch matrix: the padded input's kh*kw taps copied
 once into a contiguous (C*kh*kw, N*Ho*Wo) array whose rows are in the
-kernel's (C, kh, kw) order.  ``conv2d`` keeps the patch matrix its forward
-pass built for the weight gradient, and only when that gradient is wanted;
-``deconv2d`` builds the patch matrix of its output gradient once per
-backward pass and uses it for both of its gradients.  The data gradient
-(which is also the transposed convolution's forward map) multiplies by the
-transposed kernel matrix and adds the result back into the input with one
-strided slice per tap (col2im): the stride is applied in the scatter index,
-not by dilating the input with zeros.
+kernel's (C, kh, kw) order.  The data gradient (which is also the transposed
+convolution's forward map) multiplies by the transposed kernel matrix and
+adds the result back into the input with one strided slice per tap
+(col2im): the stride is applied in the scatter index, not by dilating the
+input with zeros.
+
+A conv gathers its taps on one of two sides:
+
+* Input side (im2col): the forward multiplies the input's patch matrix,
+  kept in the closure for the weight gradient when that gradient is
+  wanted; the data gradient is col2im.
+* Output side (kn2row): at stride 1 with padding (k - 1) // 2, a
+  correlation with w (oc, C, k, k) equals the transposed correlation with
+  wt = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), so the forward is col2im
+  of an (oc*k*k, N*H*W) product and the backward builds the patch matrix of
+  the (narrow) output gradient once for both gradients, exactly as
+  ``deconv2d`` does.  The closure keeps wt and no patch matrix.
+
+``conv2d`` takes the output side when that moves fewer elements:
+oc*(N*H*W + C) < C*N*H*W, the output-side patch matrix plus one kernel copy
+against the input-side patch matrix (per tap).  The rule depends on shapes
+only.  In the desk model it picks the C -> 1 scale extractors, the
+decoder's first conv of the wider blocks and the 1x1 CE head; the wide
+convs on small maps stay on the input side, where flipping a large kernel
+would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -117,16 +134,7 @@ def _conv_bwd_data(gy, w, stride, pad, in_hw):
     n, oc, ho, wo = gy.shape
     _, ic, kh, kw = w.shape
     h, wd = in_hw
-    gy2d = _rows(gy)
-    if oc == 1:
-        # OpenBLAS runs a GEMM with an inner dimension of 1 several times
-        # slower than this broadcast outer product (1.0 vs 0.13 ms for the
-        # 4->1-channel, 64x64, batch-5 float32 case on a 2-vCPU x86-64
-        # host); the per-scale extractors all have oc == 1.
-        dcols = w.reshape(-1, 1) * gy2d
-    else:
-        dcols = w.reshape(oc, -1).T @ gy2d
-    dcols = dcols.reshape(ic, kh, kw, n, ho, wo)
+    dcols = (w.reshape(oc, -1).T @ _rows(gy)).reshape(ic, kh, kw, n, ho, wo)
     gxp = np.zeros((ic, n, h + 2 * pad, wd + 2 * pad), dtype=dcols.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -138,6 +146,51 @@ def _conv_bwd_data(gy, w, stride, pad, in_hw):
 
 # -- autodiff-aware layers -----------------------------------------------------
 
+def _flip_t(w):
+    """(a, b, kh, kw) -> (b, a, kh, kw) with both spatial axes reversed,
+    contiguous.  At stride 1 with padding (k - 1) // 2 a correlation with
+    ``w`` is the transposed correlation with ``_flip_t(w)``, and the map is
+    its own inverse."""
+    return np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+
+
+def _narrow_side(n, c, h, wd, w_shape, stride):
+    """True when a stride-1 conv should gather its taps on its output side:
+    the output-side patch matrix plus one kernel copy, oc*(N*H*W + C)
+    elements per tap, is smaller than the input-side patch matrix,
+    C*N*H*W.  Depends on shapes only."""
+    oc, _, kh, kw = w_shape
+    npix = n * h * wd
+    return (stride == 1 and kh == kw and kh % 2 == 1
+            and oc * (npix + c) < c * npix)
+
+
+def _scatter_op(x, w, b, stride, pad, out_hw, flipped=False):
+    """The transposed correlation of ``x`` with a kernel (in_ch, out_ch, kh,
+    kw), plus ``b``, recorded as an op on (x, w, b).  The kernel is
+    ``w.data``, or ``_flip_t(w.data)`` when ``flipped``.  The backward pass
+    builds the patch matrix of its output gradient once and multiplies it
+    for both gradients."""
+    kernel = _flip_t(w.data) if flipped else w.data
+    n, _, h, wd = x.data.shape
+    _, _, kh, kw = kernel.shape
+    out = _conv_bwd_data(x.data, kernel, stride, pad, out_hw) + b.data.reshape(1, -1, 1, 1)
+
+    def bwd(g):
+        gx = gw = None
+        if x.requires_grad or w.requires_grad:
+            cols, _ = _patches(g, kh, kw, stride, pad)
+            if x.requires_grad:
+                gx = _conv_fwd(cols, kernel, n, (h, wd))
+            if w.requires_grad:
+                gw = _conv_bwd_w(cols, x.data, kernel.shape)
+                gw = _flip_t(gw) if flipped else gw
+        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
+        return gx, gw, gb
+
+    return Tensor._make(out, (x, w, b), bwd)
+
+
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     w, b, stride, pad = params.weight, params.bias, params.stride, params.pad
     if stride not in (1, 2):
@@ -147,6 +200,8 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         raise ValueError(f"channel mismatch: input has {c}, kernel expects {w.data.shape[1]}")
     if stride == 2 and (h % 2 or wd % 2):
         raise ValueError(f"stride-2 conv needs even spatial size, got {h}x{wd}")
+    if _narrow_side(n, c, h, wd, w.data.shape, stride):
+        return _scatter_op(x, w, b, 1, pad, (h, wd), flipped=True)
     cols, out_hw = _patches(x.data, w.data.shape[2], w.data.shape[3], stride, pad)
     out = _conv_fwd(cols, w.data, n, out_hw) + b.data.reshape(1, -1, 1, 1)
     # the weight gradient is the one reader of the forward's patch matrix:
@@ -165,29 +220,13 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
 def deconv2d(x: Tensor, params: ConvParams) -> Tensor:
     """Transposed convolution with stride 2; exact adjoint of the matching
     stride-2 convolution, so spatial size doubles."""
-    w, b = params.weight, params.bias
+    w = params.weight
     if params.stride != 2:
         raise ValueError("deconv2d requires stride 2")
-    cin, cout, kh, kw = w.data.shape
     n, c, h, wd = x.data.shape
-    if c != cin:
-        raise ValueError(f"channel mismatch: input has {c}, kernel expects {cin}")
-    pad = params.pad
-    out = _conv_bwd_data(x.data, w.data, 2, pad, (2 * h, 2 * wd)) + b.data.reshape(1, -1, 1, 1)
-
-    def bwd(g):
-        gx = gw = None
-        if x.requires_grad or w.requires_grad:
-            # both gradients multiply the patch matrix of g: build it once
-            cols, _ = _patches(g, kh, kw, 2, pad)
-            if x.requires_grad:
-                gx = _conv_fwd(cols, w.data, n, (h, wd))
-            if w.requires_grad:
-                gw = _conv_bwd_w(cols, x.data, w.data.shape)
-        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
-        return gx, gw, gb
-
-    return Tensor._make(out, (x, w, b), bwd)
+    if c != w.data.shape[0]:
+        raise ValueError(f"channel mismatch: input has {c}, kernel expects {w.data.shape[0]}")
+    return _scatter_op(x, w, params.bias, 2, params.pad, (2 * h, 2 * wd))
 
 
 def batch_norm(x: Tensor, params: BatchNormParams, mode: str = "train",

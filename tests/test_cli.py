@@ -59,7 +59,7 @@ class TestConfig:
         ("train", "augment", 1),
         ("train", "clip_norm", "off"),
         ("model", "ce_head_input", 3),
-        ("distortion", "sigma_range", [0.1]),
+        ("data", "size", [64]),               # a list is not an int
         ("robustness", "mc", 5),
     ])
     def test_wrong_type_rejected_with_its_name(self, tmp_path, section, key,
@@ -74,12 +74,25 @@ class TestConfig:
         p.write_text(json.dumps({
             "train": {"learning_rate": 1, "clip_norm": 2, "augment": False,
                       "warmup_learning_rate": None},
-            "distortion": {"sigma": 0.1, "quality": None},
             "robustness": {"mc": {"p": 1, "n_samples": 3}}}))
         cfg = load_config(str(p))
         assert cfg["train"]["learning_rate"] == 1
         assert cfg["train"]["clip_norm"] == 2
+        assert cfg["train"]["warmup_learning_rate"] is None
         assert cfg["robustness"]["mc"] == {"p": 1, "t": 1e-4, "n_samples": 3}
+        # a float for a key whose default is null
+        p.write_text(json.dumps({"train": {"clip_norm": 0.5,
+                                           "warmup_learning_rate": 0.01}}))
+        cfg = load_config(str(p))
+        assert cfg["train"]["clip_norm"] == 0.5
+        assert cfg["train"]["warmup_learning_rate"] == 0.01
+
+    def test_distortion_section_is_unknown(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"distortion": {"sigma": 0.1}}))
+        assert run("train", "--config", str(p), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "o")) == 1
+        assert "'distortion'" in capsys.readouterr().err
 
     def test_wrong_type_is_usage_error_from_train(self, tmp_path, capsys):
         p = tmp_path / "c.json"

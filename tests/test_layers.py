@@ -84,6 +84,41 @@ class TestConv2d:
         with pytest.raises(ValueError):
             conv2d(Tensor(rng.normal((1, 1, 5, 5))), p)
 
+    def test_narrow_conv_keeps_no_input_patch_matrix(self):
+        # 8 -> 1 channels on 16x16: gathered on the output side, so the
+        # closure holds the flipped kernel, not the (8*9, N*H*W) matrix
+        rng = Rng(11)
+        p = make_conv(rng, oc=1, ic=8)
+        x = Tensor(rng.normal((2, 8, 16, 16)), requires_grad=True)
+        y = conv2d(x, p)
+        held = [cell.cell_contents for cell in y._backward_fn.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert [a.shape for a in arrays] == [(8, 1, 3, 3)]
+        np.testing.assert_array_equal(arrays[0], p.weight.data[:, :, ::-1, ::-1]
+                                      .transpose(1, 0, 2, 3))
+
+    @pytest.mark.parametrize("oc,ic,k", [(1, 8, 3), (8, 16, 3), (2, 13, 1)])
+    def test_narrow_and_gather_paths_agree(self, monkeypatch, oc, ic, k):
+        rng = Rng(12, oc)
+        p = make_conv(rng, oc=oc, ic=ic, k=k)
+        xdata = rng.normal((2, ic, 16, 16))
+        n, c, h, w = xdata.shape
+        assert layers._narrow_side(n, c, h, w, p.weight.data.shape, 1)
+        gy = rng.normal((2, oc, 16, 16))
+
+        def run():
+            x = Tensor(xdata, requires_grad=True)
+            p.weight.grad = p.bias.grad = None
+            y = conv2d(x, p)
+            y.backward(gy)
+            return y.data, x.grad, p.weight.grad, p.bias.grad
+
+        narrow = run()
+        monkeypatch.setattr(layers, "_narrow_side", lambda *args: False)
+        gather = run()
+        for a, b in zip(narrow, gather):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
     @pytest.mark.parametrize("weight_grad", [True, False])
     def test_patch_matrix_kept_only_for_weight_gradient(self, weight_grad):
         rng = Rng(10)
@@ -203,7 +238,9 @@ class TestConvProperties:
     channels, batch 1-3, float32 and float64: the forward map, the data
     gradient through <f(x), y> == <x, f^T(y)>, and the weight gradient
     through <f_dw(x), y> == <dw, grad_w> (f is linear in x and in w).  A 2x2
-    kernel (padding 0) and the transposed conv are stride 2 only."""
+    kernel (padding 0) and the transposed conv are stride 2 only.  Stride-1
+    convs that narrow the channels enough take the output-side path; the
+    examples pin both sides of that rule."""
 
     @given(n=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 4),
            h=st.integers(1, 32), w=st.integers(1, 32),
@@ -224,6 +261,16 @@ class TestConvProperties:
     # the live-tap kernels of the model: 2x2 -> 1x1 conv, 1x1 -> 2x2 deconv
     @example(n=2, cin=4, cout=3, h=2, w=2, k=2, stride=2, transposed=False,
              dtype=np.float64, seed=5)
+    # a scale extractor (C -> 1), gathered on its output side
+    @example(n=2, cin=8, cout=1, h=32, w=32, k=3, stride=1, transposed=False,
+             dtype=np.float32, seed=8)
+    @example(n=2, cin=8, cout=1, h=32, w=32, k=3, stride=1, transposed=False,
+             dtype=np.float64, seed=9)
+    # a 16 -> 8 conv on either side of the element-count rule
+    @example(n=2, cin=16, cout=8, h=16, w=16, k=3, stride=1, transposed=False,
+             dtype=np.float64, seed=10)
+    @example(n=1, cin=16, cout=8, h=2, w=2, k=3, stride=1, transposed=False,
+             dtype=np.float64, seed=11)
     @example(n=3, cin=4, cout=2, h=1, w=1, k=2, stride=2, transposed=True,
              dtype=np.float64, seed=6)
     @example(n=2, cin=3, cout=4, h=1, w=1, k=2, stride=2, transposed=True,

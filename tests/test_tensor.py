@@ -86,6 +86,37 @@ def test_select_pixels_gather_and_scatter():
     assert grad[0, 0] == 1.0 and grad[0, 4] == 2.0 and grad[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_select_pixels_scatter_matches_loop_with_duplicates(dtype):
+    rng = Rng(21)
+    c, h, w = 3, 4, 5
+    x = Tensor(rng.normal((c, h, w), dtype=dtype), requires_grad=True)
+    idx = np.array([7, 0, 7, 19, 3, 7, 0, 12])
+    g = rng.normal((idx.size, c), dtype=dtype)
+    x.select_pixels(idx).backward(g)
+    # the loop adds each pixel's rows in index order, as np.add.at does
+    want = np.zeros((h * w, c), dtype=dtype)
+    for p, row in zip(idx, g):
+        want[p] += row
+    assert x.grad.dtype == dtype
+    np.testing.assert_array_equal(x.grad, want.T.reshape(c, h, w))
+
+
+def test_backward_keeps_grad_on_leaves_only():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+    y = x * w
+    z = y.square()
+    z.sum().backward()
+    assert y.grad is None and z.grad is None
+    np.testing.assert_array_equal(x.grad, 2 * (x.data * w.data) * w.data)
+    np.testing.assert_array_equal(w.grad, 2 * (x.data * w.data) * x.data)
+    # a second graph over the same leaves accumulates into their .grad
+    (x * w).sum().backward()
+    np.testing.assert_array_equal(x.grad, 2 * (x.data * w.data) * w.data + w.data)
+    np.testing.assert_array_equal(w.grad, 2 * (x.data * w.data) * x.data + x.data)
+
+
 def test_select_image_slices_batch():
     x = Tensor(np.arange(12, dtype=float).reshape(3, 2, 2), requires_grad=True)
     picked = x.select_image(1)
