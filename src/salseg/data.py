@@ -1,19 +1,22 @@
 """Synthetic dataset generation, augmentation and image/mask I/O.
 
 Images are channel-first (3, H, W) floats in [0, 1]; masks are (H, W) binary
-uint8.  On disk: binary PPM (P6) for images, binary PGM (P5) for masks,
-plus a JSON manifest that, together with the generation seed and version,
-fully determines the pixels.
+uint8.  On disk: binary PPM (P6) for images and binary PGM (P5) for masks
+(0 or 255) and gray maps, all through one codec (``_write_pnm`` and
+``_read_pnm``); images and gray maps are stored at the 8-bit levels of
+``metrics.quantize_8bit``.  A JSON manifest, together with the generation
+seed and version, fully determines a dataset's pixels.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .metrics import quantize_8bit
 from .tensor import Rng
 
 GENERATOR_VERSION = 1
@@ -37,19 +40,29 @@ class DatasetManifest:
 
     def save(self, path):
         with open(path, "w") as f:
-            json.dump({"split": self.split, "ids": self.ids, "seed": self.seed,
-                       "size": self.size, "version": self.version},
-                      f, indent=2, sort_keys=True)
+            json.dump(asdict(self), f, indent=2, sort_keys=True)
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            d = json.load(f)
+        """Read a manifest; anything but a JSON object with exactly the
+        record's keys, and a list of string ids, is a ``FormatError``."""
+        try:
+            with open(path) as f:
+                d = json.load(f)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: invalid JSON ({e})")
+        if not isinstance(d, dict):
+            raise FormatError(f"{path}: manifest must be a JSON object")
+        for key in sorted(set(d) ^ {k.name for k in fields(cls)}):
+            what = "unknown" if key in d else "missing"
+            raise FormatError(f"{path}: {what} manifest key {key!r}")
+        if not (isinstance(d["ids"], list) and all(isinstance(i, str) for i in d["ids"])):
+            raise FormatError(f"{path}: manifest key 'ids' must be a list of strings")
         return cls(**d)
 
 
 class FormatError(ValueError):
-    """Malformed on-disk image/mask data."""
+    """Malformed on-disk image, mask or manifest data."""
 
 
 # -- resizing ------------------------------------------------------------------
@@ -234,13 +247,25 @@ def augment(sample: SampleRecord, rng: Rng) -> SampleRecord:
 
 # -- PPM / PGM I/O ----------------------------------------------------------------
 
-def _read_header(buf, magic, path):
+def _write_pnm(path, magic, pixels) -> None:
+    """Binary PNM with maxval 255: ``pixels`` is (H, W) uint8 for P5 and
+    (H, W, 3) for P6."""
+    h, w = pixels.shape[:2]
+    with open(path, "wb") as f:
+        f.write(magic + f"\n{w} {h}\n255\n".encode())
+        f.write(pixels.tobytes())
+
+
+def _read_pnm(path, magic, channels) -> np.ndarray:
+    """(H, W, channels) uint8 pixels of a binary PNM with maxval 255."""
+    with open(path, "rb") as f:
+        buf = f.read()
     if buf[:2] != magic:
         raise FormatError(f"{path}: expected {magic.decode()} magic at byte 0, "
                           f"got {buf[:2]!r}")
-    fields = []
+    values = []
     pos = 2
-    while len(fields) < 3:
+    while len(values) < 3:
         while pos < len(buf) and buf[pos:pos + 1].isspace():
             pos += 1
         if pos < len(buf) and buf[pos:pos + 1] == b"#":
@@ -253,78 +278,50 @@ def _read_header(buf, magic, path):
         token = buf[start:pos]
         if not token.isdigit():
             raise FormatError(f"{path}: malformed header token {token!r} at byte {start}")
-        fields.append(int(token))
+        values.append(int(token))
     pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    w, h, maxval = values
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    return w, h, pos
+    need = w * h * channels
+    payload = buf[pos:pos + need]
+    if len(payload) != need:
+        raise FormatError(f"{path}: expected {need} pixel bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
 
 
 def save_image(path, image) -> None:
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ValueError("image must be (3, H, W)")
-    data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    h, w = data.shape[1], data.shape[2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(data.transpose(1, 2, 0).tobytes())
+    _write_pnm(path, b"P6", quantize_8bit(img).transpose(1, 2, 0))
 
 
 def load_image(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        buf = f.read()
-    w, h, pos = _read_header(buf, b"P6", path)
-    need = w * h * 3
-    payload = buf[pos:pos + need]
-    if len(payload) != need:
-        raise FormatError(f"{path}: expected {need} pixel bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
-    return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return _read_pnm(path, b"P6", 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 def save_mask(path, mask) -> None:
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError("mask must be (H, W)")
-    data = np.where(m > 0, 255, 0).astype(np.uint8)
-    h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(data.tobytes())
+    _write_pnm(path, b"P5", np.where(m > 0, 255, 0).astype(np.uint8))
 
 
 def load_mask(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        buf = f.read()
-    w, h, pos = _read_header(buf, b"P5", path)
-    need = w * h
-    payload = buf[pos:pos + need]
-    if len(payload) != need:
-        raise FormatError(f"{path}: expected {need} pixel bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
-    return (arr >= 128).astype(np.uint8)
+    return (_read_pnm(path, b"P5", 1)[:, :, 0] >= 128).astype(np.uint8)
 
 
 def save_gray(path, field) -> None:
     """8-bit grayscale PGM of a [0, 1] map (saliency/feature emission)."""
-    data = np.clip(np.rint(np.asarray(field, dtype=np.float64) * 255.0), 0, 255)
-    h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(data.astype(np.uint8).tobytes())
+    data = quantize_8bit(field)
+    if data.ndim != 2:
+        raise ValueError("gray map must be (H, W)")
+    _write_pnm(path, b"P5", data)
 
 
 def load_gray(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        buf = f.read()
-    w, h, pos = _read_header(buf, b"P5", path)
-    need = w * h
-    payload = buf[pos:pos + need]
-    if len(payload) != need:
-        raise FormatError(f"{path}: expected {need} pixel bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0
+    return _read_pnm(path, b"P5", 1)[:, :, 0].astype(np.float64) / 255.0
 
 
 # -- dataset directories ------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Differentiable layers: strided convolution, transposed convolution, batch
-normalization, ReLU, two-channel softmax, channel concatenation, replication
-upsampling and a small max-pool fixture.
+normalization, ReLU, two-channel softmax, channel concatenation and
+replication upsampling.
 
 Kernels are k x k with zero padding (k - 1) // 2, so 3x3 and 1x1 stride-1
 layers preserve spatial size and 3x3 and 2x2 stride-2 layers exactly halve
@@ -331,22 +331,3 @@ def concat_channels(inputs) -> Tensor:
         if t.data.shape[2:] != hw or t.data.shape[0] != nb:
             raise ValueError("concat_channels inputs must share N, H, W")
     return concat(inputs, axis=1)
-
-
-def max_pool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling; bound-analysis fixture, not used by the model."""
-    nb, c, h, w = x.data.shape
-    if h % 2 or w % 2:
-        raise ValueError("max_pool2x2 needs even spatial size")
-    blk = x.data.reshape(nb, c, h // 2, 2, w // 2, 2)
-    flat = blk.transpose(0, 1, 2, 4, 3, 5).reshape(nb, c, h // 2, w // 2, 4)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-
-    def bwd(g):
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
-        gb = gflat.reshape(nb, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return (gb.reshape(nb, c, h, w).copy(),)
-
-    return Tensor._make(out, (x,), bwd)

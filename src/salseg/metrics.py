@@ -10,7 +10,7 @@ nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,8 +26,7 @@ class EvalReport:
     mae: float
 
     def to_dict(self):
-        return {"t_adp": self.t_adp, "precision": self.precision,
-                "recall": self.recall, "f_beta": self.f_beta, "mae": self.mae}
+        return asdict(self)
 
 
 @dataclass
@@ -86,19 +85,28 @@ def evaluate(s, g) -> EvalReport:
 
 
 def quantize_8bit(s) -> np.ndarray:
+    """The 8-bit levels of a [0, 1] map: round half to even, clip to 0..255.
+    Every map salseg writes to disk and every PR curve uses these levels."""
     return np.clip(np.rint(np.asarray(s, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
 
 
-def pr_curve(s_8bit, g) -> PRCurve:
-    """All 256 (precision, recall) points in one histogram pass."""
+def pr_counts(s_8bit, g):
+    """Per-level pixel counts of an 8-bit map, (positives, negatives), each
+    of length 256.  Counts of several images add up to the counts of their
+    concatenation."""
     s = np.asarray(s_8bit)
     if s.dtype != np.uint8:
         raise ValueError("pr_curve expects an 8-bit map (use quantize_8bit)")
     g = np.asarray(g).astype(bool)
     if s.shape != g.shape:
         raise ValueError("map/ground-truth shape mismatch")
-    pos_hist = np.bincount(s[g].reshape(-1), minlength=256).astype(np.float64)
-    neg_hist = np.bincount(s[~g].reshape(-1), minlength=256).astype(np.float64)
+    return np.bincount(s[g], minlength=256), np.bincount(s[~g], minlength=256)
+
+
+def pr_curve_from_counts(pos_counts, neg_counts) -> PRCurve:
+    """All 256 (precision, recall) points from per-level counts."""
+    pos_hist = np.asarray(pos_counts, dtype=np.float64)
+    neg_hist = np.asarray(neg_counts, dtype=np.float64)
     # predicted positive at threshold t: value > t, i.e. values t+1..255
     tp = np.cumsum(pos_hist[::-1])[::-1]  # tp_geq[v] = count of positives >= v
     fpv = np.cumsum(neg_hist[::-1])[::-1]
@@ -114,15 +122,15 @@ def pr_curve(s_8bit, g) -> PRCurve:
     return PRCurve(thresholds=np.arange(256), precision=precision, recall=recall)
 
 
+def pr_curve(s_8bit, g) -> PRCurve:
+    """All 256 (precision, recall) points in one histogram pass."""
+    return pr_curve_from_counts(*pr_counts(s_8bit, g))
+
+
 def aggregate(reports) -> EvalReport:
     """Arithmetic mean of per-image reports."""
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to aggregate")
-    n = len(reports)
-    return EvalReport(
-        t_adp=sum(r.t_adp for r in reports) / n,
-        precision=sum(r.precision for r in reports) / n,
-        recall=sum(r.recall for r in reports) / n,
-        f_beta=sum(r.f_beta for r in reports) / n,
-        mae=sum(r.mae for r in reports) / n)
+    return EvalReport(**{f.name: sum(getattr(r, f.name) for r in reports) / len(reports)
+                         for f in fields(EvalReport)})

@@ -27,7 +27,7 @@ multiply zero padding, so the network's function is that of the 3x3 one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,11 +63,7 @@ class ModelConfig:
         return 2 * self.levels + 1
 
     def to_dict(self):
-        return {"input_size": self.input_size, "in_channels": self.in_channels,
-                "base_channels": self.base_channels,
-                "convs_per_block": self.convs_per_block,
-                "embedding_dim": self.embedding_dim,
-                "ce_head_input": self.ce_head_input}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -222,13 +218,6 @@ def _build(config: ModelConfig, weights, dtype) -> ModelParams:
     ce_in = stack_ch if config.ce_head_input == "stack" else config.embedding_dim
     add("head", "ce", ce_in, 2, config.input_size, k=1)
     return p
-
-
-def depth(config: ModelConfig) -> int:
-    """Convolutional layer count along the assembly: the input convolution,
-    every block convolution/deconvolution, the per-scale extraction stage and
-    the two head convolutions.  With 4-conv blocks and 6+6 blocks this is 52."""
-    return 2 * config.levels * config.convs_per_block + 4
 
 
 def forward(params: ModelParams, image: Tensor, mode: str = "inference",

@@ -14,7 +14,7 @@ M = ‖G‖ bounds the output change per unit input change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class JacobianReport:
     columns = ("max", "min", "median", "mean", "var")
 
     def to_dict(self):
-        return {"per_image": self.per_image, "summary": self.summary}
+        return asdict(self)
 
 
 @dataclass
@@ -111,16 +111,14 @@ def scalarized_output(params: ModelParams, image, head="metric",
     return float(_scalarize(out, head, centroid).data)
 
 
-def input_gradient(params: ModelParams, image, head="metric",
-                   mode="inference") -> np.ndarray:
+def input_gradient(params: ModelParams, image, head="metric") -> np.ndarray:
     """Exact gradient of the probe scalar with respect to one (C, H, W)
-    input image; one forward and one backward pass.  The pass also leaves
-    gradients on the model's parameters; ``train_loop`` discards any such
-    leftovers before its own backward pass."""
+    input image; one forward and one backward pass in inference mode
+    (train-mode batch statistics would make the scalar batch-dependent).
+    The pass also leaves gradients on the model's parameters;
+    ``train_loop`` discards any such leftovers before its own backward
+    pass."""
     _check_head(head)
-    if mode != "inference":
-        raise ValueError("input gradients require inference mode; train-mode "
-                         "batch statistics make the scalar batch-dependent")
     x = Tensor(np.asarray(image, dtype=np.float64)[None], requires_grad=True)
     out = forward(params, x, mode="inference", update_running=False)
     _scalarize(out, head).backward(np.ones(()))

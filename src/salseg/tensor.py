@@ -66,12 +66,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def item(self) -> float:
-        return float(self.data)
-
     # -- backward ------------------------------------------------------------
 
     def backward(self, seed=None) -> None:

@@ -28,7 +28,7 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -92,15 +92,7 @@ class TrainConfig:
             raise ValueError(f"unknown loss mode {self.loss!r}")
 
     def to_dict(self):
-        return {"learning_rate": self.learning_rate, "momentum": self.momentum,
-                "weight_decay": self.weight_decay, "batch_size": self.batch_size,
-                "iterations": self.iterations,
-                "checkpoint_interval": self.checkpoint_interval,
-                "seed": self.seed, "lam": self.lam, "loss": self.loss,
-                "mine_metric_loss": self.mine_metric_loss,
-                "augment": self.augment, "clip_norm": self.clip_norm,
-                "warmup_iterations": self.warmup_iterations,
-                "warmup_learning_rate": self.warmup_learning_rate}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -59,7 +59,7 @@ class TestConfig:
         ("train", "augment", 1),
         ("train", "clip_norm", "off"),
         ("model", "ce_head_input", 3),
-        ("data", "size", [64]),               # a list is not an int
+        ("data", "seed", [0]),                # a list is not an int
         ("robustness", "mc", 5),
     ])
     def test_wrong_type_rejected_with_its_name(self, tmp_path, section, key,
@@ -93,6 +93,14 @@ class TestConfig:
         assert run("train", "--config", str(p), "--data", str(tmp_path),
                    "--out", str(tmp_path / "o")) == 1
         assert "'distortion'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n_train", "n_val", "size"])
+    def test_removed_data_key_is_unknown(self, tmp_path, capsys, key):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"data": {key: 64}}))
+        assert run("train", "--config", str(p), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "o")) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_wrong_type_is_usage_error_from_train(self, tmp_path, capsys):
         p = tmp_path / "c.json"
@@ -135,6 +143,50 @@ class TestExitCodes:
         assert run("infer", "--ckpt", str(ckpt), "--images", str(tmp_path),
                    "--out", str(tmp_path / "o")) == 2
         assert "unsupported format version 1" in capsys.readouterr().err
+
+    def test_gradcheck_takes_no_config(self, tmp_path, capsys):
+        assert run("gradcheck", "--config", str(tmp_path / "none.json")) == 1
+
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "invalid JSON"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"split": "train", "ids": [], "seed": 0, "version": 1}',
+         "missing manifest key 'size'"),
+        ('{"split": "train", "ids": [], "seed": 0, "size": 8, "version": 1,'
+         ' "n": 3}', "unknown manifest key 'n'"),
+        ('{"split": "train", "ids": 3, "seed": 0, "size": 8, "version": 1}',
+         "'ids' must be a list of strings"),
+    ], ids=["invalid-json", "not-an-object", "missing-key", "extra-key",
+            "ids-not-a-list"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, text,
+                                              message):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text(text)
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and message in err
+
+    def test_robustness_checks_gradients_before_probes(self, tmp_path, capsys,
+                                                        monkeypatch):
+        from salseg.model import ModelConfig, build
+        from salseg.tensor import Rng
+        from salseg.train import save_checkpoint
+        data = tmp_path / "data"
+        assert run("gen-data", "--out", str(data), "--n", "2", "--size", "8") == 0
+        ckpt = tmp_path / "m.ment"
+        save_checkpoint(ckpt, build(ModelConfig(**TINY["model"]), Rng(0)))
+
+        def probe(*args, **kwargs):
+            raise AssertionError("probe ran after a non-finite gradient")
+
+        monkeypatch.setattr("salseg.cli.input_gradient",
+                            lambda params, image, head: np.full(image.shape, np.nan))
+        monkeypatch.setattr("salseg.cli.lipschitz_bound", probe)
+        monkeypatch.setattr("salseg.cli.mc_directional_norm", probe)
+        assert run("robustness", "--ckpt", str(ckpt), "--images", str(data),
+                   "--out", str(tmp_path / "rob")) == 3
+        assert "non-finite gradient on sample_00000" in capsys.readouterr().err
 
     def test_gradcheck_success(self, capsys):
         assert run("gradcheck") == 0
@@ -228,6 +280,32 @@ class TestPipeline:
 
 
 class TestEvalIdentity:
+    def test_pr_csv_is_the_curve_of_all_pixels(self, tmp_path, capsys):
+        from salseg.data import save_gray
+        from salseg.metrics import pr_curve, quantize_8bit
+        gt = tmp_path / "gt"
+        assert run("gen-data", "--out", str(gt), "--n", "3", "--size", "8",
+                   "--seed", "4") == 0
+        _, recs = load_dataset(str(gt))
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        ties = np.array([0.5, 1.5, 254.5, 127.5]) / 255
+        levels, labels = [], []
+        for i, rec in enumerate(recs):
+            field = np.resize(np.roll(ties, i), rec.mask.shape)
+            field = field + 0.3 * rec.mask + (i - 1) * 0.1
+            save_gray(pred / f"{rec.id}_metric.pgm", field)
+            levels.append(quantize_8bit(field).ravel())
+            labels.append(rec.mask.ravel())
+        report = tmp_path / "r.json"
+        assert run("eval", "--pred", str(pred), "--gt", str(gt),
+                   "--out", str(report)) == 0
+        curve = pr_curve(np.concatenate(levels), np.concatenate(labels))
+        want = ["threshold,precision,recall"] + [
+            f"{t},{p:.6f},{r:.6f}"
+            for t, p, r in zip(curve.thresholds, curve.precision, curve.recall)]
+        assert (tmp_path / "r_pr.csv").read_text().splitlines() == want
+
     def test_perfect_prediction_scores_one(self, tmp_path, capsys):
         gt = tmp_path / "gt"
         assert run("gen-data", "--out", str(gt), "--n", "2", "--size", "8",

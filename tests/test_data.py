@@ -187,6 +187,31 @@ class TestImageIO:
         with pytest.raises(FormatError):
             load_gray(p)
 
+    # rounding ties go to the even level (0.5 -> 0, 1.5 -> 2, 254.5 -> 254),
+    # values outside [0, 1] clip
+    def test_gray_golden_bytes(self, tmp_path):
+        field = np.array([[0.5, 1.5, 254.5], [-0.25 * 255, 1.25 * 255, 127.5]]) / 255
+        p = tmp_path / "g.pgm"
+        save_gray(p, field)
+        assert p.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 2, 254, 0, 255, 128])
+
+    def test_image_golden_bytes(self, tmp_path):
+        img = np.array([[[0.5, 254.5]], [[-127.5, 2.5]], [[382.5, 1.5]]]) / 255
+        p = tmp_path / "i.ppm"
+        save_image(p, img)
+        # pixels row-major, RGB interleaved
+        assert p.read_bytes() == b"P6\n2 1\n255\n" + bytes([0, 0, 255, 254, 2, 2])
+
+    def test_mask_golden_bytes(self, tmp_path):
+        mask = np.array([[0.5 / 255, 0.0], [-0.2, 1.7]])
+        p = tmp_path / "m.pgm"
+        save_mask(p, mask)
+        assert p.read_bytes() == b"P5\n2 2\n255\n" + bytes([255, 0, 0, 255])
+
+    def test_save_gray_validates_shape(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_gray(tmp_path / "bad.pgm", np.zeros((1, 4, 4)))
+
     def test_save_image_validates_shape(self, tmp_path):
         with pytest.raises(ValueError):
             save_image(tmp_path / "bad.ppm", np.zeros((16, 16)))

@@ -6,7 +6,7 @@ from salseg.tensor import Tensor, Rng, finite_diff_check
 from salseg import layers
 from salseg.layers import (ConvParams, BatchNormParams, conv2d, deconv2d,
                            batch_norm, relu, softmax2, replicate_upsample,
-                           concat_channels, max_pool2x2)
+                           concat_channels)
 
 
 def conv_oracle(x, w, b, stride, pad):
@@ -521,19 +521,6 @@ class TestAdjointConsistency:
                              beta=Tensor(np.zeros(2)))
         bn.running_var = np.array([0.5, 2.0])
         self.check(lambda x: batch_norm(x, bn, mode="inference"), (2, 2, 3, 3), 36)
-
-
-class TestMaxPoolFixture:
-    def test_values(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = max_pool2x2(Tensor(x)).data
-        np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
-
-    def test_gradient_goes_to_argmax(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        max_pool2x2(x).sum().backward()
-        assert x.grad.sum() == 4.0
-        assert x.grad[0, 0, 1, 1] == 1.0 and x.grad[0, 0, 0, 0] == 0.0
 
 
 def test_conv_then_deconv_restores_shape():

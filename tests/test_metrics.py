@@ -3,7 +3,8 @@ import pytest
 
 from salseg.tensor import Rng
 from salseg.metrics import (BETA_SQ, adaptive_threshold, f_measure, mae,
-                            evaluate, quantize_8bit, pr_curve, aggregate)
+                            evaluate, quantize_8bit, pr_counts, pr_curve,
+                            pr_curve_from_counts, aggregate)
 
 
 def prf_oracle(pred, g):
@@ -162,6 +163,19 @@ class TestPRCurve:
         g = rng.uniform(0, 1, (16, 16)) > 0.5
         curve = pr_curve(s, g)
         assert (np.diff(curve.recall) <= 1e-15).all()
+
+    def test_counts_of_images_add_up_to_their_concatenation(self):
+        rng = Rng(18)
+        maps = [quantize_8bit(rng.uniform(0, 1, (6, 6))) for _ in range(3)]
+        gts = [rng.uniform(0, 1, (6, 6)) > 0.5 for _ in range(3)]
+        counts = [pr_counts(s, g) for s, g in zip(maps, gts)]
+        pos = sum(c[0] for c in counts)
+        neg = sum(c[1] for c in counts)
+        whole = pr_curve(np.concatenate([s.ravel() for s in maps]),
+                         np.concatenate([g.ravel() for g in gts]))
+        split = pr_curve_from_counts(pos, neg)
+        np.testing.assert_array_equal(split.precision, whole.precision)
+        np.testing.assert_array_equal(split.recall, whole.recall)
 
     def test_requires_uint8(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 
 from salseg import model
 from salseg.tensor import Tensor, Rng
-from salseg.model import ModelConfig, build, forward, depth
+from salseg.model import ModelConfig, build, forward
 
 
 def small_config(**kw):
@@ -58,13 +58,23 @@ class TestBuild:
                 np.testing.assert_array_equal(t.data, 1.0)
 
 
+def depth(cfg):
+    """Convolutional layer count along the assembly: every trunk layer, the
+    per-scale extraction stage (one layer deep, however many scales) and
+    the two heads."""
+    layers = build(cfg, Rng(2)).layers
+    return sum(layer.role != "scale" for layer in layers) + 1
+
+
 class TestDepth:
     def test_full_scale_is_52(self):
         # 4-conv blocks, 6 encoder + 6 decoder blocks
-        assert depth(ModelConfig(input_size=64, convs_per_block=4)) == 52
+        assert depth(ModelConfig(input_size=64, base_channels=2,
+                                 convs_per_block=4)) == 52
 
     def test_desk_default(self):
-        assert depth(ModelConfig(input_size=64, convs_per_block=2)) == 28
+        assert depth(ModelConfig(input_size=64, base_channels=2,
+                                 convs_per_block=2)) == 28
 
     def test_minimal_config_matches_structural_walk(self):
         cfg = ModelConfig(input_size=8, convs_per_block=1)

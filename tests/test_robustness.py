@@ -73,11 +73,6 @@ class TestInputGradient:
         g2 = input_gradient(params, image)
         np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-6)
 
-    def test_train_mode_rejected(self, model, image):
-        cfg, params = model
-        with pytest.raises(ValueError):
-            input_gradient(params, image, mode="train")
-
     def test_unknown_head(self, model, image):
         cfg, params = model
         with pytest.raises(ValueError):

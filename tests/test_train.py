@@ -341,6 +341,24 @@ class TestCheckpoint:
                         optim_state=ck.optim_state, iteration=ck.iteration)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_header_config_keys_are_pinned(self, tmp_path):
+        # every checkpoint ever written carries these keys; a field added to
+        # or dropped from either config changes what old files can load
+        cfg, params, tc, data = tiny_setup(seed=14)
+        p = tmp_path / "k.ment"
+        save_checkpoint(p, params, train_config=tc)
+        header, _ = split_checkpoint(p.read_bytes())
+        assert sorted(header["model"]) == [
+            "base_channels", "ce_head_input", "convs_per_block",
+            "embedding_dim", "in_channels", "input_size"]
+        assert sorted(header["train"]) == [
+            "augment", "batch_size", "checkpoint_interval", "clip_norm",
+            "iterations", "lam", "learning_rate", "loss", "mine_metric_loss",
+            "momentum", "seed", "warmup_iterations", "warmup_learning_rate",
+            "weight_decay"]
+        assert header["model"] == cfg.to_dict()
+        assert header["train"] == tc.to_dict()
+
     def test_optimizer_state_round_trip(self, tmp_path):
         cfg, params, tc, data = tiny_setup(seed=13)
         opt, _, _ = train_loop(params, tc, data, log=lambda m: None)
