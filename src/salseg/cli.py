@@ -118,10 +118,10 @@ def write_run_metadata(out_dir, config, command) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
+    cfg = load_config(args.config)  # a bad config writes nothing
+    cfg["data"]["seed"] = args.seed
     records = generate_synthetic(args.n, args.size, Rng(args.seed))
     save_dataset(records, args.out, args.split, seed=args.seed, size=args.size)
-    cfg = load_config(args.config)
-    cfg["data"]["seed"] = args.seed
     write_run_metadata(args.out, cfg, "gen-data")
     print(f"wrote {len(records)} samples to {args.out}")
     return EXIT_OK
@@ -304,6 +304,14 @@ def _gradcheck_battery(rng):
     checks.append(("batch_norm",
                    lambda x: batch_norm(x.reshape(2, 3, 4, 4), bn, mode="train",
                                         update_running=False).square().sum(),
+                   rng.normal((2 * 3 * 4 * 4,))))
+    bn_inf = BatchNormParams(gamma=Tensor(rng.normal((3,)) * 0.3 + 1.0),
+                             beta=Tensor(rng.normal((3,))),
+                             running_mean=rng.normal((3,)),
+                             running_var=rng.uniform(0.5, 2.0, (3,)))
+    checks.append(("batch_norm_inference",
+                   lambda x: batch_norm(x.reshape(2, 3, 4, 4), bn_inf,
+                                        mode="inference").square().sum(),
                    rng.normal((2 * 3 * 4 * 4,))))
     checks.append(("softmax2",
                    lambda x: (softmax2(x.reshape(1, 2, 3, 3)).square()).sum(),

@@ -231,54 +231,75 @@ def deconv2d(x: Tensor, params: ConvParams) -> Tensor:
 
 def batch_norm(x: Tensor, params: BatchNormParams, mode: str = "train",
                update_running: bool = True) -> Tensor:
+    """Per-channel normalisation of ``x`` (N, C, H, W), then gamma * x + beta.
+
+    Every per-channel sum is one contraction over the contiguous (N, C, H*W)
+    view.  Train mode centres the input once and reuses the centred array
+    for the (biased) variance and, scaled per channel by gamma / sqrt(var +
+    eps), for the output, so x_hat = (x - mean) / sqrt(var + eps) is never
+    stored; the backward needs only the sums of g and g * x_hat and builds
+    the input gradient in place in the centred array.  Inference mode folds
+    the running statistics into a per-channel gain and shift, so each
+    direction is one scaling."""
     if mode not in ("train", "inference"):
         raise ValueError(f"unknown batch-norm mode {mode!r}")
-    gamma, beta, eps = params.gamma, params.beta, params.eps
-    n = x.data.shape[0]
+    gamma, beta = params.gamma, params.beta
+    n, c = x.data.shape[:2]
+    x3 = x.data.reshape(n, c, -1)
 
     if mode == "inference":
-        rm = params.running_mean.astype(x.data.dtype).reshape(1, -1, 1, 1)
-        rv = params.running_var.astype(x.data.dtype).reshape(1, -1, 1, 1)
-        scale = 1.0 / np.sqrt(rv + eps)
-        xhat = (x.data - rm) * scale
-        out = gamma.data.reshape(1, -1, 1, 1) * xhat + beta.data.reshape(1, -1, 1, 1)
+        dt = x.data.dtype
+        rm = params.running_mean.astype(dt)
+        s = (1.0 / np.sqrt(params.running_var + params.eps)).astype(dt)
+        a = gamma.data * s
+        out = x3 * a[:, None]
+        out += (beta.data - rm * a)[:, None]
 
         def bwd(g):
-            gx = (g * (gamma.data.reshape(1, -1, 1, 1) * scale)
-                  if x.requires_grad else None)
-            gg = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-            gb = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-            return gx, gg, gb
+            g3 = g.reshape(n, c, -1)
+            gx = g * a.reshape(1, -1, 1, 1) if x.requires_grad else None
+            sg = np.einsum("nck->c", g3)
+            # sum of g * x_hat, with x_hat = (x - rm) * s never formed
+            gg = (s * (np.einsum("nck,nck->c", g3, x3) - rm * sg)
+                  if gamma.requires_grad else None)
+            return gx, gg, sg if beta.requires_grad else None
 
-        return Tensor._make(out, (x, gamma, beta), bwd)
+        return Tensor._make(out.reshape(x.data.shape), (x, gamma, beta), bwd)
 
     if n < 2:
         raise ValueError("batch norm in train mode needs batch size >= 2")
-    m = x.data.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.data.var(axis=(0, 2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - m) * inv
-    out = gamma.data.reshape(1, -1, 1, 1) * xhat + beta.data.reshape(1, -1, 1, 1)
+    cnt = n * x3.shape[2]
+    mean = np.einsum("nck->c", x3) / cnt
+    xc = x3 - mean[:, None]
+    var = np.einsum("nck,nck->c", xc, xc) / cnt
+    inv = 1.0 / np.sqrt(var + params.eps)
+    k = gamma.data * inv
+    out = xc * k[:, None]
+    out += beta.data[:, None]
 
     if update_running:
         mom = params.momentum
-        params.running_mean = mom * params.running_mean + (1 - mom) * m.reshape(-1).astype(np.float64)
-        params.running_var = mom * params.running_var + (1 - mom) * var.reshape(-1).astype(np.float64)
-
-    cnt = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+        params.running_mean = mom * params.running_mean + (1 - mom) * mean.astype(np.float64)
+        params.running_var = mom * params.running_var + (1 - mom) * var.astype(np.float64)
 
     def bwd(g):
-        gg = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-        gb = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
+        g3 = g.reshape(n, c, -1)
+        sg = np.einsum("nck->c", g3)
+        sgx = np.einsum("nck,nck->c", g3, xc) * inv  # sum of g * x_hat
         gx = None
         if x.requires_grad:
-            gxhat = g * gamma.data.reshape(1, -1, 1, 1)
-            gx = (inv / cnt) * (cnt * gxhat
-                                - gxhat.sum(axis=(0, 2, 3), keepdims=True)
-                                - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True))
-        return gx, gg, gb
+            # gx = k * (g - (sum(g) + x_hat * sum(g * x_hat)) / cnt), built
+            # in the centred input's buffer: a graph runs backward only once
+            gx = xc
+            gx *= (inv * sgx / cnt)[:, None]
+            gx += (sg / cnt)[:, None]
+            np.subtract(g3, gx, out=gx)
+            gx *= k[:, None]
+            gx = gx.reshape(x.data.shape)
+        return (gx, sgx if gamma.requires_grad else None,
+                sg if beta.requires_grad else None)
 
-    return Tensor._make(out, (x, gamma, beta), bwd)
+    return Tensor._make(out.reshape(x.data.shape), (x, gamma, beta), bwd)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -200,6 +200,8 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
     History rows are (iteration, l_ce, l_ml_star, total), averaged over the
     batch.  With ``out_dir`` set, checkpoints and a loss CSV are written; the
     checkpoint with the best validation F-measure is copied to best.ment.
+    The CSV gets its header when the loop starts and each row as its step
+    ends, so an interrupted run keeps the rows of its finished steps.
     """
     if not train_set:
         raise ValueError("empty training set")
@@ -209,8 +211,11 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
         optim_state = OptimState()
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr)
+    loss_csv = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        loss_csv = os.path.join(out_dir, "loss.csv")
+        _write_csv_rows(loss_csv, [("iteration", "l_ce", "l_ml_star", "total")], "w")
 
     history = []
     best = None
@@ -261,6 +266,8 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
         sgd_step(params, grads, optim_state, step_config)
         history.append((it, float(np.mean(ces)), float(np.mean(mls)),
                         float(total.data)))
+        if loss_csv:
+            _write_csv_rows(loss_csv, history[-1:], "a")
 
         last = it + 1 == config.iterations
         if out_dir and ((it + 1) % config.checkpoint_interval == 0 or last):
@@ -276,16 +283,14 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
                     best = rep
                     _replace_atomically(os.path.join(out_dir, "best.ment"),
                                         lambda tmp: shutil.copyfile(path, tmp))
-    if out_dir:
-        write_loss_csv(os.path.join(out_dir, "loss.csv"), history)
     return optim_state, history, best
 
 
-def write_loss_csv(path, history) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["iteration", "l_ce", "l_ml_star", "total"])
-        w.writerows(history)
+def _write_csv_rows(path, rows, mode) -> None:
+    """Write (mode "w") or append (mode "a") CSV rows; the file is closed,
+    and so flushed, before this returns."""
+    with open(path, mode, newline="") as f:
+        csv.writer(f).writerows(rows)
 
 
 # -- checkpoint serialization ----------------------------------------------------

@@ -211,6 +211,14 @@ class TestGenData:
         _, recs = load_dataset(str(a))
         assert len(recs) == 3
 
+    def test_bad_config_writes_nothing(self, tmp_path, capsys):
+        cfg, out = tmp_path / "c.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"train": {"lr": 1}}))
+        assert run("gen-data", "--out", str(out), "--n", "2", "--size", "8",
+                   "--config", str(cfg)) == 1
+        assert "unknown key 'lr'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestPipeline:
     def test_full_pipeline(self, tmp_path, tiny_config, capsys):

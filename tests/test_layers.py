@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from salseg.tensor import Tensor, Rng, finite_diff_check
 from salseg import layers
@@ -312,6 +314,100 @@ class TestConvProperties:
         lhs = (oracle(x64, dw, np.zeros(cout), stride, pad) * gy64).sum()
         rhs = (dw * p.weight.grad).sum()
         assert abs(lhs - rhs) <= tol * np.abs(dw).sum() * norms
+
+
+def batch_norm_oracle(x, g, gamma, beta, rm, rv, eps, mode):
+    """Channel-by-channel float64 batch norm with exactly rounded sums
+    (``math.fsum``), written from the textbook formulas.  Returns the
+    output, the x, gamma and beta gradients for output gradient ``g``, the
+    batch mean and biased variance (train mode), and per-channel error
+    scales: bounds on the magnitude of the terms behind each quantity, so
+    that a tolerance relative to them covers any summation order."""
+    n, c, h, w = x.shape
+    cnt = n * h * w
+    r = {k: np.zeros(x.shape) for k in ("y", "gx", "y_scale", "gx_scale")}
+    r.update({k: np.zeros(c) for k in ("gg", "gb", "mean", "var", "gg_scale",
+                                       "gb_scale", "stat_scale")})
+    for ch in range(c):
+        v, gv = x[:, ch].astype(np.float64), g[:, ch].astype(np.float64)
+        if mode == "train":
+            m = math.fsum(v.ravel()) / cnt
+            var = math.fsum(((v - m) ** 2).ravel()) / cnt
+        else:
+            m, var = rm[ch], rv[ch]
+        inv = 1.0 / math.sqrt(var + eps)
+        xhat = (v - m) * inv
+        big = (np.abs(v).max() + abs(m)) * inv  # |x_hat| before cancellation
+        gb = math.fsum(gv.ravel())
+        gg = math.fsum((gv * xhat).ravel())
+        r["y"][:, ch] = gamma[ch] * xhat + beta[ch]
+        if mode == "train":
+            r["gx"][:, ch] = gamma[ch] * inv * (gv - gb / cnt - xhat * gg / cnt)
+        else:
+            r["gx"][:, ch] = gamma[ch] * inv * gv
+        r["gg"][ch], r["gb"][ch] = gg, gb
+        r["mean"][ch], r["var"][ch] = m, var
+        r["y_scale"][:, ch] = abs(gamma[ch]) * big + abs(beta[ch])
+        r["gx_scale"][:, ch] = (abs(gamma[ch]) * inv * np.abs(gv).max()
+                                * (1 + big) ** 2)
+        r["gg_scale"][ch] = np.abs(gv).sum() * big
+        r["gb_scale"][ch] = np.abs(gv).sum()
+        r["stat_scale"][ch] = (np.abs(v).max() + abs(m)) ** 2 + 1
+    return r
+
+
+class TestBatchNormProperties:
+    """batch_norm against ``batch_norm_oracle`` in both modes over batch 1-5
+    (2-5 in train mode), one to eight channels, maps 1x1 to 16x16, float32
+    and float64: the output, the x, gamma and beta gradients, and the
+    running-stat update (momentum 0.9, biased variance).  Each error is
+    bounded relative to the oracle's scale for it.  Outputs and gradients
+    keep the input's dtype, and neither the input nor the output gradient is
+    written to."""
+
+    @given(mode=st.sampled_from(["train", "inference"]), n=st.integers(1, 5),
+           c=st.integers(1, 8), h=st.integers(1, 16), w=st.integers(1, 16),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 16))
+    @example(mode="train", n=2, c=1, h=1, w=1, dtype=np.float64, seed=0)
+    @example(mode="train", n=5, c=8, h=16, w=16, dtype=np.float32, seed=1)
+    @example(mode="inference", n=1, c=3, h=1, w=1, dtype=np.float32, seed=2)
+    @example(mode="inference", n=5, c=8, h=16, w=16, dtype=np.float64, seed=3)
+    def test_matches_oracle(self, mode, n, c, h, w, dtype, seed):
+        assume(mode == "inference" or n >= 2)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        rng = Rng(seed)
+        x = rng.normal((n, c, h, w), mean=float(rng.uniform(-3, 3)),
+                       std=float(rng.uniform(0.1, 3)), dtype=dtype)
+        gy = rng.normal((n, c, h, w), dtype=dtype)
+        gamma = rng.normal((c,), dtype=dtype)
+        beta = rng.normal((c,), dtype=dtype)
+        rm0, rv0 = rng.normal((c,)), rng.uniform(0.2, 3.0, (c,))
+        bn = BatchNormParams(gamma=Tensor(gamma, requires_grad=True),
+                             beta=Tensor(beta, requires_grad=True),
+                             running_mean=rm0.copy(), running_var=rv0.copy())
+        want = batch_norm_oracle(x, gy, gamma, beta, rm0, rv0, bn.eps, mode)
+        x_in, gy_in = x.copy(), gy.copy()
+
+        xt = Tensor(x, requires_grad=True)
+        y = batch_norm(xt, bn, mode=mode)
+        y.backward(gy)
+        got = {"y": y.data, "gx": xt.grad, "gg": bn.gamma.grad,
+               "gb": bn.beta.grad}
+        for key, value in got.items():
+            assert value.dtype == dtype and value.shape == want[key].shape, key
+            err = np.abs(value - want[key]) - tol * want[key + "_scale"]
+            assert err.max() <= 0, key
+        np.testing.assert_array_equal(x, x_in)
+        np.testing.assert_array_equal(gy, gy_in)
+
+        if mode == "train":
+            rm, rv = 0.9 * rm0 + 0.1 * want["mean"], 0.9 * rv0 + 0.1 * want["var"]
+        else:
+            rm, rv = rm0, rv0
+        assert bn.running_mean.dtype == bn.running_var.dtype == np.float64
+        assert np.all(np.abs(bn.running_mean - rm) <= tol * want["stat_scale"])
+        assert np.all(np.abs(bn.running_var - rv) <= tol * want["stat_scale"])
 
 
 class TestBatchNorm:

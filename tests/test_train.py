@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from dataclasses import replace
 
@@ -218,7 +220,29 @@ class TestTrainLoop:
         lines = (tmp_path / "loss.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,l_ce,l_ml_star,total"
         assert len(lines) == 1 + len(hist)
+        # the rows written as the steps ended are the CSV of the history
+        want = io.StringIO(newline="")
+        csv.writer(want).writerows([lines[0].split(",")] + hist)
+        assert (tmp_path / "loss.csv").read_bytes() == want.getvalue().encode()
         assert best is not None and 0.0 <= best.f_beta <= 1.0
+
+    def test_interrupted_run_keeps_its_loss_rows(self, tmp_path, monkeypatch):
+        cfg, params, tc, data = tiny_setup(seed=4)
+        real_step = train.sgd_step
+        calls = []
+
+        def failing_step(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return real_step(*args)
+
+        monkeypatch.setattr(train, "sgd_step", failing_step)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            train_loop(params, tc, data, out_dir=tmp_path, log=lambda m: None)
+        lines = (tmp_path / "loss.csv").read_text().splitlines()
+        assert lines[0] == "iteration,l_ce,l_ml_star,total"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         cfg, params, tc, data = tiny_setup(seed=6)
