@@ -325,23 +325,22 @@ def _gradcheck_battery(rng):
     sample = SampleSet(positive=np.flatnonzero(labels.reshape(-1)),
                        negative=np.flatnonzero(~labels.reshape(-1).astype(bool)))
     checks.append(("cross_entropy",
-                   lambda x: cross_entropy(softmax2(
-                       x.reshape(1, 2, 4, 4)).select_image(0), labels, sample),
+                   lambda x: cross_entropy(softmax2(x.reshape(1, 2, 4, 4)),
+                                           labels[None], [sample]),
                    rng.normal((1 * 2 * 4 * 4,))))
     checks.append(("metric_loss",
-                   lambda x: metric_loss_centroid(x.reshape(3, 4, 4), sample),
+                   lambda x: metric_loss_centroid(x.reshape(1, 3, 4, 4), [sample]),
                    rng.normal((3 * 4 * 4,))))
-    def combined_fn(x):
-        from .tensor import concat
-        xr = x.reshape(5, 4, 4)
-        emb = concat([xr.select_image(c).reshape(1, 4, 4) for c in range(3)],
-                     axis=0)
-        logits = concat([xr.select_image(3).reshape(1, 1, 4, 4),
-                         xr.select_image(4).reshape(1, 1, 4, 4)], axis=1)
-        probs = softmax2(logits).select_image(0)
-        return combined_loss(emb, probs, labels, sample).total
+    # both terms read x: the logits are a fixed 1x1 conv of the embedding
+    ce_head = ConvParams(weight=Tensor(rng.normal((2, 3, 1, 1))),
+                         bias=Tensor(rng.normal((2,))), stride=1)
 
-    checks.append(("combined_loss", combined_fn, rng.normal((5 * 4 * 4,))))
+    def combined_fn(x):
+        emb = x.reshape(1, 3, 4, 4)
+        probs = softmax2(conv2d(emb, ce_head))
+        return combined_loss(emb, probs, labels[None], [sample]).total
+
+    checks.append(("combined_loss", combined_fn, rng.normal((3 * 4 * 4,))))
 
     cfg = ModelConfig(input_size=8, base_channels=2, convs_per_block=1,
                       embedding_dim=4)

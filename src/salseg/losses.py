@@ -1,10 +1,26 @@
-"""Training objectives: per-pixel cross entropy, the pairwise and centroid
-forms of the metric loss, their combination, and the balanced hard-negative
-sampler.
+"""Training objectives over the mined pixels of a batch: cross entropy, the
+centroid form of the metric loss and their combination; the balanced
+hard-negative sampler; and the pairwise metric loss as an oracle.
 
-The centroid form is what training uses (linear cost in the number of sampled
-pixels); the quadratic pairwise form is kept as an independent oracle.  For a
-balanced sample the two are algebraically identical; in general
+The two training losses take (N, C, H, W) maps and one ``SampleSet`` per
+image, ``None`` for an image the step skips; cross entropy also takes the
+(N, H, W) labels.  Each returns the mean over the kept images as one
+recorded operation with a closed-form backward.
+
+The centroid form of the metric loss, the mean over the P sampled pixels of
+||f - own centroid||^2 - ||f - other centroid||^2, is exactly
+
+    -||c+ - c-||^2
+
+because each class's deviations from its own centroid sum to zero, so the
+within-class terms cancel.  Its gradient is one vector per class:
+-2 (c+ - c-) / m+ on every sampled salient pixel and +2 (c+ - c-) / m- on
+every sampled background pixel.  The loss pushes the two centroids apart and
+never pulls a class together, so it is unbounded below: scaling the
+embedding by s scales it by s^2.
+
+The quadratic pairwise form is kept as an independent oracle.  For a balanced
+sample the two are identical; in general
 
     pairwise - centroid = (m+ - m-) * (var+ - var-) / (m+ + m-)
 
@@ -54,17 +70,48 @@ def _check_sample(sample: SampleSet):
         raise ValueError("sample set must contain pixels of both classes")
 
 
-def cross_entropy(ce_probs: Tensor, labels: np.ndarray, sample: SampleSet) -> Tensor:
-    """Mean negative log-probability of the true class over the sampled
-    pixels.  ``ce_probs`` is (2, H, W) with channel 1 = salient."""
-    if sample.positive.size == 0 and sample.negative.size == 0:
-        raise ValueError("empty sample set")
-    idx = sample.all_indices
-    y = np.asarray(labels).reshape(-1)[idx].astype(ce_probs.dtype)
-    picked = ce_probs.select_pixels(idx)          # (P, 2)
-    p_true = picked * np.stack([1.0 - y, y], axis=1)
-    p_true = p_true.sum(axis=1)
-    return -(p_true.clip(PROB_FLOOR, 1.0 - PROB_FLOOR).log().mean())
+def _kept(maps: Tensor, samples) -> list:
+    """Batch indices of the images that have a sample set."""
+    n = maps.data.shape[0]
+    if len(samples) != n:
+        raise ValueError(f"{len(samples)} sample sets for a batch of {n}")
+    kept = [i for i, s in enumerate(samples) if s is not None]
+    if not kept:
+        raise ValueError("every image of the batch is skipped")
+    return kept
+
+
+def cross_entropy(ce_probs: Tensor, labels, samples) -> Tensor:
+    """Mean over the kept images of the mean -ln P(true class) over each
+    image's sampled pixels.  ``ce_probs`` is (N, 2, H, W) with channel 1 =
+    salient and ``labels`` (N, H, W).  P is clipped to [PROB_FLOOR,
+    1 - PROB_FLOOR], and a pixel outside that range gets no gradient."""
+    kept = _kept(ce_probs, samples)
+    n, c = ce_probs.data.shape[:2]
+    flat = ce_probs.data.reshape(n, c, -1)
+    hw = flat.shape[2]
+    salient = np.asarray(labels).reshape(n, hw) != 0
+    k = len(kept)
+    values, at, weights = [], [], []
+    for i in kept:
+        idx = samples[i].all_indices
+        if idx.size == 0:
+            raise ValueError("empty sample set")
+        y = salient[i, idx].astype(np.int64)
+        p = flat[i, y, idx]
+        values.append(-(np.log(np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)).sum()
+                        * (1.0 / idx.size)))
+        live = (p >= PROB_FLOOR) & (p <= 1.0 - PROB_FLOOR)
+        at.append(((i * c + y) * hw + idx)[live])
+        weights.append(-1.0 / (k * idx.size) / p[live])
+    at, weights = np.concatenate(at), np.concatenate(weights)
+
+    def bwd(g):
+        grad = np.zeros(flat.size, dtype=flat.dtype)
+        np.add.at(grad, at, g * weights)  # repeated indices add
+        return (grad.reshape(ce_probs.data.shape),)
+
+    return Tensor._make(np.asarray(np.mean(values)), (ce_probs,), bwd)
 
 
 def per_pixel_cross_entropy(ce_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -74,23 +121,38 @@ def per_pixel_cross_entropy(ce_probs: np.ndarray, labels: np.ndarray) -> np.ndar
     return np.where(lab, -np.log(p1), -np.log(1.0 - p1))
 
 
-def metric_loss_centroid(embeddings: Tensor, sample: SampleSet) -> Tensor:
-    """Mean over sampled pixels of ||f - own centroid||^2 - ||f - other
-    centroid||^2.  Gradients flow through the centroids as well."""
-    _check_sample(sample)
-    fp = embeddings.select_pixels(sample.positive)  # (m+, C)
-    fn = embeddings.select_pixels(sample.negative)  # (m-, C)
-    cp = fp.mean(axis=0, keepdims=True)
-    cn = fn.mean(axis=0, keepdims=True)
-    pos_term = (fp - cp).square().sum(axis=1) - (fp - cn).square().sum(axis=1)
-    neg_term = (fn - cn).square().sum(axis=1) - (fn - cp).square().sum(axis=1)
-    total = pos_term.sum() + neg_term.sum()
-    return total * (1.0 / (sample.positive.size + sample.negative.size))
+def metric_loss_centroid(embeddings: Tensor, samples) -> Tensor:
+    """Mean over the kept images of -||c+ - c-||^2, the centroids taken
+    over each image's sampled pixels of the (N, C, H, W) embedding."""
+    kept = _kept(embeddings, samples)
+    n, c = embeddings.data.shape[:2]
+    flat = embeddings.data.reshape(n, c, -1)
+    hw = flat.shape[2]
+    k = len(kept)
+    values, pulls = [], []
+    for i in kept:
+        s = samples[i]
+        _check_sample(s)
+        d = flat[i][:, s.positive].mean(axis=1) - flat[i][:, s.negative].mean(axis=1)
+        values.append(-np.dot(d, d))
+        # per pixel: 1 / (k m+) per salient draw, -1 / (k m-) per
+        # background draw, so a repeated index counts each time
+        w = (np.bincount(s.positive, minlength=hw) / (k * s.positive.size)
+             - np.bincount(s.negative, minlength=hw) / (k * s.negative.size))
+        pulls.append((i, d, w.astype(flat.dtype)))
+
+    def bwd(g):
+        grad = np.zeros(flat.shape, dtype=flat.dtype)
+        for i, d, w in pulls:
+            grad[i] = np.multiply.outer(d * (-2.0 * g), w)
+        return (grad.reshape(embeddings.data.shape),)
+
+    return Tensor._make(np.asarray(np.mean(values)), (embeddings,), bwd)
 
 
 def metric_loss_pairwise(embeddings, sample: SampleSet) -> float:
-    """Direct O(P^2 C) evaluation of the pairwise form; oracle, not
-    differentiable."""
+    """Direct O(P^2 C) evaluation of the pairwise form on one (C, H, W)
+    image; oracle, not differentiable."""
     _check_sample(sample)
     data = embeddings.data if isinstance(embeddings, Tensor) else np.asarray(embeddings)
     c = data.shape[0]
@@ -105,16 +167,14 @@ def metric_loss_pairwise(embeddings, sample: SampleSet) -> float:
     return total / (fp.shape[0] + fn.shape[0])
 
 
-def combined_loss(embeddings: Tensor, ce_probs: Tensor, labels: np.ndarray,
-                  sample: SampleSet, lam: float = 1.0,
-                  metric_sample: SampleSet = None) -> LossValues:
-    """Centroid metric loss plus lam times cross entropy.  ``metric_sample``
-    lets the metric term use a different pixel set than the CE term (mining
-    ablation); it defaults to the shared set."""
+def combined_loss(embeddings: Tensor, ce_probs: Tensor, labels, samples,
+                  lam: float = 1.0) -> LossValues:
+    """Centroid metric loss plus lam times cross entropy over the same
+    sample sets, each the mean over the kept images."""
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    l_ce = cross_entropy(ce_probs, labels, sample)
-    l_ml = metric_loss_centroid(embeddings, metric_sample or sample)
+    l_ce = cross_entropy(ce_probs, labels, samples)
+    l_ml = metric_loss_centroid(embeddings, samples)
     total = l_ml + lam * l_ce
     return LossValues(l_ce=float(l_ce.data), l_ml_star=float(l_ml.data),
                       lam=lam, total=total)

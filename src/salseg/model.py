@@ -43,7 +43,6 @@ class ModelConfig:
     base_channels: int = 8
     convs_per_block: int = 2
     embedding_dim: int = 16
-    ce_head_input: str = "stack"  # "stack" or "embedding"
 
     def __post_init__(self):
         i = self.input_size
@@ -51,8 +50,6 @@ class ModelConfig:
             raise ValueError(f"input_size must be a power of two >= 8, got {i}")
         if self.convs_per_block < 1:
             raise ValueError("convs_per_block must be >= 1")
-        if self.ce_head_input not in ("stack", "embedding"):
-            raise ValueError(f"unknown ce_head_input {self.ce_head_input!r}")
 
     @property
     def levels(self) -> int:
@@ -215,8 +212,7 @@ def _build(config: ModelConfig, weights, dtype) -> ModelParams:
 
     stack_ch = config.scale_count
     add("head", "emb", stack_ch, config.embedding_dim, config.input_size, k=1)
-    ce_in = stack_ch if config.ce_head_input == "stack" else config.embedding_dim
-    add("head", "ce", ce_in, 2, config.input_size, k=1)
+    add("head", "ce", stack_ch, 2, config.input_size, k=1)
     return p
 
 
@@ -270,8 +266,7 @@ def forward(params: ModelParams, image: Tensor, mode: str = "inference",
     stack = concat_channels(scale_maps)
     emb_head, ce_head = params.with_role("head")
     embedding = apply(emb_head, stack)
-    ce_in = stack if cfg.ce_head_input == "stack" else embedding
-    ce_logits = apply(ce_head, ce_in)
+    ce_logits = apply(ce_head, stack)
     if _linearize:
         # softmax derivative bound: every logit reaches every probability
         # with |d p / d z| <= 1, realized as an all-ones 2x2 coupling

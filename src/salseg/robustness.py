@@ -226,14 +226,9 @@ def lipschitz_bound(params: ModelParams, norm="l2", head="metric") -> BoundRepor
                requires_grad=True)
     out = forward(abs_params, x, mode="inference", update_running=False,
                   _linearize=True)
-    if head == "ce":
-        pick = np.zeros((1, 2, 1, 1))
-        pick[0, 1] = 1.0
-        scalar = (out.ce_probs * pick).sum()
-    else:
-        # the distance-to-centroid derivative is bounded by 1 per channel,
-        # so summing the embedding dominates the metric scalarization
-        scalar = out.embedding.sum()
+    # the distance-to-centroid derivative is bounded by 1 per channel, so
+    # summing the embedding dominates the metric scalarization
+    scalar = _scalarize(out, "ce") if head == "ce" else out.embedding.sum()
     scalar.backward(np.ones(()))
     g = x.grad[0]
     l1 = float(np.abs(g).sum())

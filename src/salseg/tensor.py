@@ -170,9 +170,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Tensor._make(-self.data, (self,), lambda g: (-g,))
-
     def square(self):
         x = self.data
 
@@ -189,23 +186,6 @@ class Tensor:
 
         return Tensor._make(out, (self,), bwd)
 
-    def log(self):
-        x = self.data
-
-        def bwd(g):
-            return (g / x,)
-
-        return Tensor._make(np.log(x), (self,), bwd)
-
-    def clip(self, lo, hi):
-        x = self.data
-        mask = (x >= lo) & (x <= hi)
-
-        def bwd(g):
-            return (g * mask,)
-
-        return Tensor._make(np.clip(x, lo, hi), (self,), bwd)
-
     # -- reductions / reshaping ----------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -221,16 +201,6 @@ class Tensor:
 
         return Tensor._make(out, (self,), bwd)
 
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            n = 1
-            for a in axes:
-                n *= self.data.shape[a]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -240,45 +210,6 @@ class Tensor:
             return (g.reshape(old),)
 
         return Tensor._make(self.data.reshape(shape), (self,), bwd)
-
-    def select_image(self, i: int):
-        """Slice one entry off the leading (batch) axis; the backward pass
-        scatters the gradient back into an otherwise-zero batch."""
-        n = self.data.shape[0]
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for batch of {n}")
-        rest = self.data.shape[1:]
-
-        def bwd(g):
-            z = np.zeros((n,) + rest, dtype=g.dtype)
-            z[i] = g
-            return (z,)
-
-        return Tensor._make(self.data[i], (self,), bwd)
-
-    def select_pixels(self, flat_idx):
-        """Gather pixel vectors from a (C, H, W) tensor.
-
-        ``flat_idx`` indexes the flattened H*W spatial domain; the result is
-        (P, C), one embedding/probability vector per selected pixel.  The
-        backward pass scatter-adds back into the spatial grid.
-        """
-        if self.data.ndim != 3:
-            raise ValueError("select_pixels expects a (C, H, W) tensor")
-        c, h, w = self.data.shape
-        idx = np.asarray(flat_idx, dtype=np.int64)
-        flat = self.data.reshape(c, h * w)
-        out = flat[:, idx].T
-
-        def bwd(g):
-            z = np.zeros((h * w, c), dtype=g.dtype)
-            # a 1-D scatter-add runs several times faster than the 2-D one
-            # and adds in the same order, duplicates included
-            np.add.at(z.reshape(-1), (idx[:, None] * c + np.arange(c)).reshape(-1),
-                      g.reshape(-1))
-            return (z.T.reshape(c, h, w),)
-
-        return Tensor._make(out, (self,), bwd)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

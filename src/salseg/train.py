@@ -9,12 +9,14 @@ Checkpoint layout: 4 magic bytes "MENT", a little-endian uint32 format
 version, a uint64 header length, a JSON header (model and train configs,
 iteration counter, ordered blob directory), then the raw little-endian blob
 payloads in directory order.  Blobs cover parameters, batch-norm running
-statistics and, optionally, the optimizer's momentum buffers.  Version 2
-stores each convolution kernel as its live taps only (``model.py``): a 1x1
+statistics and, optionally, the optimizer's momentum buffers.  Each
+convolution kernel is stored as its live taps only (``model.py``): a 1x1
 kernel for the stride-1 convs at the 1x1 bottleneck, a 2x2 kernel for the
 2x2 -> 1x1 conv and the 1x1 -> 2x2 transposed conv, 3x3 elsewhere and 1x1
-for the heads.  Version-1 files, which held those kernels as full 3x3
-arrays, are rejected.
+for the heads.  Version 3 dropped the ``mine_metric_loss`` (train) and
+``ce_head_input`` (model) header keys, which only ever held one value.
+Older files are rejected: version 1 held those kernels as full 3x3 arrays,
+and version 2 carries the two dropped keys.
 
 Checkpoints (and ``best.ment``) are written to a temporary file in the same
 directory and then moved into place with ``os.replace``, so an interrupted
@@ -34,14 +36,14 @@ import numpy as np
 
 from .tensor import Rng
 from .model import ModelConfig, ModelParams, _build, forward
-from .losses import (SampleSet, combined_loss, cross_entropy,
-                     per_pixel_cross_entropy, hard_negative_sample)
+from .losses import (combined_loss, cross_entropy, per_pixel_cross_entropy,
+                     hard_negative_sample)
 from .saliency import saliency_maps
 from .metrics import evaluate, aggregate
 from .data import augment
 
 MAGIC = b"MENT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -59,7 +61,6 @@ class TrainConfig:
     seed: int = 0
     lam: float = 1.0
     loss: str = "combined"        # "combined" or "ce"
-    mine_metric_loss: bool = True  # metric term shares the mined pixel set
     augment: bool = True
     # optional global gradient-norm ceiling.  The metric objective is
     # unbounded below, so small models need this to keep the embedding
@@ -160,26 +161,6 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     return total
 
 
-def _image_loss(out, i, labels, config: TrainConfig):
-    """Loss tensor and component values for image i of a train-mode batch."""
-    probs_np = out.ce_probs.data[i]
-    ppce = per_pixel_cross_entropy(probs_np, labels)
-    sample = hard_negative_sample(ppce, labels)
-    probs_i = out.ce_probs.select_image(i)
-    if config.loss == "ce":
-        l_ce = cross_entropy(probs_i, labels, sample)
-        return l_ce * config.lam, float(l_ce.data), 0.0
-    emb_i = out.embedding.select_image(i)
-    metric_sample = sample
-    if not config.mine_metric_loss:
-        lab = np.asarray(labels, dtype=bool).reshape(-1)
-        metric_sample = SampleSet(positive=np.flatnonzero(lab),
-                                  negative=np.flatnonzero(~lab))
-    lv = combined_loss(emb_i, probs_i, labels, sample, lam=config.lam,
-                       metric_sample=metric_sample)
-    return lv.total, lv.l_ce, lv.l_ml_star
-
-
 def validate(params: ModelParams, dataset):
     """Mean F-measure / MAE of the metric saliency maps over a dataset."""
     reports = []
@@ -201,7 +182,9 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
     batch.  With ``out_dir`` set, checkpoints and a loss CSV are written; the
     checkpoint with the best validation F-measure is copied to best.ment.
     The CSV gets its header when the loop starts and each row as its step
-    ends, so an interrupted run keeps the rows of its finished steps.
+    ends, so an interrupted run keeps the rows of its finished steps; a
+    resumed run keeps the rows before ``start_iteration`` and appends after
+    them.
     """
     if not train_set:
         raise ValueError("empty training set")
@@ -215,7 +198,12 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         loss_csv = os.path.join(out_dir, "loss.csv")
-        _write_csv_rows(loss_csv, [("iteration", "l_ce", "l_ml_star", "total")], "w")
+        rows = [("iteration", "l_ce", "l_ml_star", "total")]
+        if start_iteration > 0 and os.path.exists(loss_csv):
+            with open(loss_csv, newline="") as f:
+                rows += [r for r in list(csv.reader(f))[1:]
+                         if r and r[0].isdigit() and int(r[0]) < start_iteration]
+        _replace_atomically(loss_csv, lambda tmp: _write_csv_rows(tmp, rows, "w"))
 
     history = []
     best = None
@@ -233,24 +221,26 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
         images = np.stack([r.image for r in batch]).astype(np.float32)
         out = forward(params, images, mode="train")
 
-        totals, ces, mls = [], [], []
+        labels = np.stack([r.mask for r in batch])
+        samples = []
         for i, rec in enumerate(batch):
-            labels = rec.mask
-            if not labels.any() or labels.all():
+            if not rec.mask.any() or rec.mask.all():
                 log(f"iteration {it}: skipping degenerate sample {rec.id}")
+                samples.append(None)
                 continue
-            total_i, ce_i, ml_i = _image_loss(out, i, labels, step_config)
-            totals.append(total_i)
-            ces.append(ce_i)
-            mls.append(ml_i)
-        if not totals:
+            ppce = per_pixel_cross_entropy(out.ce_probs.data[i], rec.mask)
+            samples.append(hard_negative_sample(ppce, rec.mask))
+        if all(s is None for s in samples):
             log(f"iteration {it}: whole batch degenerate, skipping step")
             continue
 
-        total = totals[0]
-        for t in totals[1:]:
-            total = total + t
-        total = total * (1.0 / len(totals))
+        if step_config.loss == "ce":
+            l_ce = cross_entropy(out.ce_probs, labels, samples)
+            total, ce, ml = l_ce * step_config.lam, float(l_ce.data), 0.0
+        else:
+            lv = combined_loss(out.embedding, out.ce_probs, labels, samples,
+                               lam=step_config.lam)
+            total, ce, ml = lv.total, lv.l_ce, lv.l_ml_star
         named = params.named_parameters()
         for _, p in named:
             p.zero_grad()  # backward accumulates: drop leftovers of other passes
@@ -264,8 +254,7 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
         if step_config.clip_norm is not None:
             clip_gradients(grads, step_config.clip_norm)
         sgd_step(params, grads, optim_state, step_config)
-        history.append((it, float(np.mean(ces)), float(np.mean(mls)),
-                        float(total.data)))
+        history.append((it, ce, ml, float(total.data)))
         if loss_csv:
             _write_csv_rows(loss_csv, history[-1:], "a")
 

@@ -100,7 +100,7 @@ class TestLossEquivalence:
         rng = Rng(41)
         for _ in range(100):
             emb, sample = self._random_instance(rng, balanced=True)
-            cen = float(metric_loss_centroid(Tensor(emb), sample).data)
+            cen = float(metric_loss_centroid(Tensor(emb[None]), [sample]).data)
             pw = metric_loss_pairwise(emb, sample)
             assert abs(pw - cen) <= 1e-6 * (1.0 + abs(cen))
 
@@ -108,7 +108,7 @@ class TestLossEquivalence:
         rng = Rng(42)
         for _ in range(100):
             emb, sample = self._random_instance(rng, balanced=False)
-            cen = float(metric_loss_centroid(Tensor(emb), sample).data)
+            cen = float(metric_loss_centroid(Tensor(emb[None]), [sample]).data)
             pw = metric_loss_pairwise(emb, sample)
             flat = emb.reshape(16, -1)
             fp = flat[:, sample.positive].T

@@ -58,7 +58,7 @@ class TestConfig:
         ("train", "learning_rate", "0.1"),
         ("train", "augment", 1),
         ("train", "clip_norm", "off"),
-        ("model", "ce_head_input", 3),
+        ("model", "embedding_dim", "16"),
         ("data", "seed", [0]),                # a list is not an int
         ("robustness", "mc", 5),
     ])
@@ -98,6 +98,18 @@ class TestConfig:
     def test_removed_data_key_is_unknown(self, tmp_path, capsys, key):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"data": {key: 64}}))
+        assert run("train", "--config", str(p), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "o")) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "mine_metric_loss", True),
+        ("model", "ce_head_input", "stack"),
+    ])
+    def test_removed_keys_are_usage_errors(self, tmp_path, capsys, section,
+                                           key, value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({section: {key: value}}))
         assert run("train", "--config", str(p), "--data", str(tmp_path),
                    "--out", str(tmp_path / "o")) == 1
         assert f"unknown key {key!r}" in capsys.readouterr().err

@@ -165,16 +165,6 @@ class TestForward:
             assert t.grad is not None, n
 
 
-class TestCeHeadSwitch:
-    def test_embedding_input_variant(self):
-        cfg = small_config(ce_head_input="embedding")
-        params = build(cfg, Rng(17))
-        assert dict(params.named_parameters())["ce.w"].data.shape[1] == cfg.embedding_dim
-        img = Tensor(Rng(18).uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))
-        out = forward(params, img, mode="inference")
-        assert out.ce_probs.data.shape == (1, 2, 16, 16)
-
-
 class TestLayerList:
     """The layer list is the one description of the network: its order fixes
     the parameter and buffer names (the checkpoint blob directory), and

@@ -23,7 +23,7 @@ def test_random_composite_matches_finite_differences():
     point = Tensor(rng.normal((4, 3)) + 2.5)
 
     def fn(x):
-        return ((x * x + 1.0).sqrt() * x).sum() + (x.square().mean())
+        return ((x * x + 1.0).sqrt() * x).sum() + x.square().sum() * 0.25
 
     assert finite_diff_check(fn, point, eps=1e-5) < 1e-4
 
@@ -76,32 +76,6 @@ def test_broadcast_gradient_unbroadcasts():
     np.testing.assert_array_equal(b.grad, np.full((1, 3), 4.0))
 
 
-def test_select_pixels_gather_and_scatter():
-    x = Tensor(np.arange(2 * 2 * 3, dtype=float).reshape(2, 2, 3), requires_grad=True)
-    picked = x.select_pixels([0, 4, 4])
-    assert picked.shape == (3, 2)
-    np.testing.assert_array_equal(picked.data[0], [0.0, 6.0])
-    picked.sum().backward()
-    grad = x.grad.reshape(2, 6)
-    assert grad[0, 0] == 1.0 and grad[0, 4] == 2.0 and grad[0, 1] == 0.0
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_select_pixels_scatter_matches_loop_with_duplicates(dtype):
-    rng = Rng(21)
-    c, h, w = 3, 4, 5
-    x = Tensor(rng.normal((c, h, w), dtype=dtype), requires_grad=True)
-    idx = np.array([7, 0, 7, 19, 3, 7, 0, 12])
-    g = rng.normal((idx.size, c), dtype=dtype)
-    x.select_pixels(idx).backward(g)
-    # the loop adds each pixel's rows in index order, as np.add.at does
-    want = np.zeros((h * w, c), dtype=dtype)
-    for p, row in zip(idx, g):
-        want[p] += row
-    assert x.grad.dtype == dtype
-    np.testing.assert_array_equal(x.grad, want.T.reshape(c, h, w))
-
-
 def test_backward_keeps_grad_on_leaves_only():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
@@ -115,22 +89,6 @@ def test_backward_keeps_grad_on_leaves_only():
     (x * w).sum().backward()
     np.testing.assert_array_equal(x.grad, 2 * (x.data * w.data) * w.data + w.data)
     np.testing.assert_array_equal(w.grad, 2 * (x.data * w.data) * x.data + x.data)
-
-
-def test_select_image_slices_batch():
-    x = Tensor(np.arange(12, dtype=float).reshape(3, 2, 2), requires_grad=True)
-    picked = x.select_image(1)
-    np.testing.assert_array_equal(picked.data, [[4, 5], [6, 7]])
-    picked.sum().backward()
-    want = np.zeros((3, 2, 2))
-    want[1] = 1.0
-    np.testing.assert_array_equal(x.grad, want)
-
-
-def test_select_image_out_of_range():
-    x = Tensor(np.zeros((2, 3)))
-    with pytest.raises(IndexError):
-        x.select_image(2)
 
 
 def test_concat_backward_splits():
@@ -148,12 +106,6 @@ def test_finite_diff_linear_map_near_exact():
     point = Tensor(rng.normal((6,)))
     err = finite_diff_check(lambda x: (x * w).sum(), point, eps=1e-6)
     assert err < 1e-9
-
-
-def test_finite_diff_clip_away_from_edges():
-    point = Tensor(np.array([0.5, -0.3, 0.2]))
-    err = finite_diff_check(lambda x: x.clip(-1.0, 1.0).square().sum(), point)
-    assert err < 1e-6
 
 
 class TestRng:
@@ -201,7 +153,6 @@ SCALAR_OPS = {
     "t + 1": lambda t: t + 1,
     "1 - t": lambda t: 1 - t,
     "t - 2.0": lambda t: t - 2.0,
-    "t.mean()": lambda t: t.mean(),
 }
 
 

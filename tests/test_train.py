@@ -261,6 +261,21 @@ class TestTrainLoop:
                                     ck.params.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
+    def test_resumed_run_keeps_earlier_loss_rows(self, tmp_path):
+        cfg, params, tc, data = tiny_setup(seed=6)
+        tc = replace(tc, iterations=4)
+        full, resumed = tmp_path / "full", tmp_path / "resumed"
+        train_loop(params, tc, data, out_dir=full, log=lambda m: None)
+        train_loop(build(cfg, Rng(6)), tc, data, out_dir=resumed,
+                   log=lambda m: None)
+        ck = load_checkpoint(resumed / "ckpt_0000002.ment")
+        # the rerun replaces the rows of iterations 2 and 3
+        train_loop(ck.params, tc, data, out_dir=resumed,
+                   start_iteration=ck.iteration, optim_state=ck.optim_state,
+                   log=lambda m: None)
+        assert ((resumed / "loss.csv").read_bytes()
+                == (full / "loss.csv").read_bytes())
+
     def test_resume_without_optimizer_state_refused(self):
         cfg, params, tc, data = tiny_setup(seed=7)
         with pytest.raises(CheckpointError):
@@ -310,16 +325,18 @@ class TestTrainLoop:
 class TestLosses:
     def test_combined_loss_of_float32_embedding_is_float32(self):
         rng = Rng(16)
-        emb = Tensor(rng.normal((4, 8, 8), dtype=np.float32), requires_grad=True)
-        probs = Tensor(np.full((2, 8, 8), 0.5, dtype=np.float32))
-        labels = np.zeros((8, 8), dtype=bool)
-        labels[2:5, 2:5] = True
-        sample = SampleSet(positive=np.flatnonzero(labels)[:4],
-                           negative=np.flatnonzero(~labels)[:4])
-        lv = combined_loss(emb, probs, labels, sample, lam=1.0)
+        emb = Tensor(rng.normal((2, 4, 8, 8), dtype=np.float32), requires_grad=True)
+        probs = Tensor(np.full((2, 2, 8, 8), 0.5, dtype=np.float32),
+                       requires_grad=True)
+        labels = np.zeros((2, 8, 8), dtype=bool)
+        labels[:, 2:5, 2:5] = True
+        sample = SampleSet(positive=np.flatnonzero(labels[0])[:4],
+                           negative=np.flatnonzero(~labels[0])[:4])
+        lv = combined_loss(emb, probs, labels, [sample, None], lam=1.0)
         assert lv.total.dtype == np.float32
         lv.total.backward()
         assert emb.grad.dtype == np.float32
+        assert probs.grad.dtype == np.float32
 
 
 class TestCheckpoint:
@@ -373,13 +390,12 @@ class TestCheckpoint:
         save_checkpoint(p, params, train_config=tc)
         header, _ = split_checkpoint(p.read_bytes())
         assert sorted(header["model"]) == [
-            "base_channels", "ce_head_input", "convs_per_block",
-            "embedding_dim", "in_channels", "input_size"]
+            "base_channels", "convs_per_block", "embedding_dim",
+            "in_channels", "input_size"]
         assert sorted(header["train"]) == [
             "augment", "batch_size", "checkpoint_interval", "clip_norm",
-            "iterations", "lam", "learning_rate", "loss", "mine_metric_loss",
-            "momentum", "seed", "warmup_iterations", "warmup_learning_rate",
-            "weight_decay"]
+            "iterations", "lam", "learning_rate", "loss", "momentum", "seed",
+            "warmup_iterations", "warmup_learning_rate", "weight_decay"]
         assert header["model"] == cfg.to_dict()
         assert header["train"] == tc.to_dict()
 
@@ -419,6 +435,18 @@ class TestCheckpoint:
         raw[4:8] = np.uint32(1).tobytes()
         p.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            load_checkpoint(p)
+
+    def test_version_2_rejected(self, tmp_path):
+        # version 2 headers carry the removed mine_metric_loss and
+        # ce_head_input keys
+        cfg, params, tc, _ = tiny_setup()
+        p = tmp_path / "v2.ment"
+        save_checkpoint(p, params)
+        raw = bytearray(p.read_bytes())
+        raw[4:8] = np.uint32(2).tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="unsupported format version 2"):
             load_checkpoint(p)
 
     def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path,
