@@ -23,7 +23,7 @@ from . import __version__
 from .tensor import Tensor, Rng, finite_diff_check
 from .layers import (ConvParams, BatchNormParams, conv2d, deconv2d, batch_norm,
                      softmax2, replicate_upsample)
-from .model import ModelConfig, build, forward
+from .model import ModelConfig, build, forward, inference_view
 from .losses import (SampleSet, cross_entropy, metric_loss_centroid,
                      combined_loss)
 from .saliency import saliency_maps
@@ -155,10 +155,11 @@ def cmd_infer(args) -> int:
     cfg = load_config(args.config)
     cfg["model"] = ck.params.config.to_dict()
     write_run_metadata(args.out, cfg, "infer")
+    view = inference_view(ck.params, np.float32)
     timings = []
     for rec in records:
         start = time.perf_counter()
-        out = forward(ck.params, rec.image[None].astype(np.float32),
+        out = forward(view, rec.image[None].astype(np.float32),
                       mode="inference", update_running=False)
         maps = saliency_maps(out)
         timings.append((rec.id, time.perf_counter() - start))

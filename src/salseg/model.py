@@ -15,8 +15,10 @@ parameter-name stems the two own, and its role in the topology (a trunk
 layer, possibly a block end whose output is a scale feature or a decoder
 block start that joins the mirrored skip; a per-scale extractor; or a head).
 ``forward``, the parameter and buffer naming (hence the checkpoint blob
-directory) and the robustness toolkit's absolute network all walk that list,
-in its order, which is also the order of the initializer's random draws.
+directory) and the inference view (batch norm folded into each conv, which
+the probes, ``validate``, ``infer`` and the absolute network build on) all
+walk that list, in its order, which is also the order of the initializer's
+random draws.
 
 Every kernel is stored as its live taps only: the taps that can reach a real
 pixel of the layer's map.  A 3x3 conv at the 1x1 bottleneck keeps its centre
@@ -27,7 +29,7 @@ multiply zero padding, so the network's function is that of the 3x3 one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -214,6 +216,37 @@ def _build(config: ModelConfig, weights, dtype) -> ModelParams:
     add("head", "emb", stack_ch, config.embedding_dim, config.input_size, k=1)
     add("head", "ce", stack_ch, 2, config.input_size, k=1)
     return p
+
+
+def inference_view(params: ModelParams, input_dtype) -> ModelParams:
+    """The network as a fixed function of its input, for inference-mode
+    forwards that take no gradient.  Each batch norm's running statistics
+    are folded into its conv: with a = gamma / sqrt(var + eps), the kernel
+    is scaled by a along its output-channel axis (axis 1 of a transposed
+    kernel) and the bias becomes a * b + beta - mean * a, so the record has
+    no batch norm.  Every weight and bias is cast once to the compute dtype,
+    the promotion of ``input_dtype`` and the parameters' dtypes, and no
+    tensor requires a gradient.  The view shares no array with ``params``.
+    It is not a model to train or save: it has no batch norms, and a
+    train-mode forward through it would normalise nothing."""
+    dtype = np.result_type(input_dtype,
+                           *(p.dtype for _, p in params.named_parameters()))
+
+    def fold(layer):
+        w = layer.conv.weight.data.astype(np.float64)
+        b = layer.conv.bias.data.astype(np.float64)
+        if layer.bn is not None:
+            bn = layer.bn
+            a = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+            w *= a.reshape((1, -1, 1, 1) if layer.transposed else (-1, 1, 1, 1))
+            b = a * b + bn.beta.data - bn.running_mean * a
+        conv = ConvParams(weight=Tensor(w.astype(dtype, copy=False)),
+                          bias=Tensor(b.astype(dtype, copy=False)),
+                          stride=layer.conv.stride)
+        return replace(layer, conv=conv, bn_name=None, bn=None)
+
+    return ModelParams(config=params.config,
+                       layers=[fold(layer) for layer in params.layers])
 
 
 def forward(params: ModelParams, image: Tensor, mode: str = "inference",

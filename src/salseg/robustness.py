@@ -10,17 +10,23 @@ upper bound G is obtained by one backward pass through the "absolute
 network": every linear coefficient replaced by its absolute value, every
 nonlinearity's derivative by 1.  G then dominates |g| at every input, and
 M = ‖G‖ bounds the output change per unit input change.
+
+Every probe that only evaluates the scalar (the Monte-Carlo estimator, the
+measured ratios) runs through the model's inference view, built once per
+call: batch norm folded into the convs, weights cast once to the compute
+dtype, no autodiff graph.  ``input_gradient`` differentiates the trained
+parameters themselves, and the absolute network is the inference view's
+magnitudes.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .tensor import Tensor, Rng
-from .layers import ConvParams, BatchNormParams
-from .model import ModelParams, forward
+from .model import ModelParams, forward, inference_view
 from .saliency import partition_regions, background_centroid
 from .distortions import DistortionSpec, apply as apply_distortion
 
@@ -102,13 +108,21 @@ def _scalarize(out, head, centroid=None):
     return ((diff.square().sum(axis=1) + _NORM_EPS).sqrt()).sum()
 
 
+def _probe_forward(view: ModelParams, image):
+    """Inference forward of one (C, H, W) image through an inference view."""
+    return forward(view, Tensor(image[None]), mode="inference", update_running=False)
+
+
+def _probe_scalar(view: ModelParams, image, head, centroid) -> float:
+    return float(_scalarize(_probe_forward(view, image), head, centroid).data)
+
+
 def scalarized_output(params: ModelParams, image, head="metric",
                       centroid=None) -> float:
     """Value of the probe scalar at one (C, H, W) image."""
     _check_head(head)
-    x = Tensor(np.asarray(image)[None])
-    out = forward(params, x, mode="inference", update_running=False)
-    return float(_scalarize(out, head, centroid).data)
+    image = np.asarray(image)
+    return _probe_scalar(inference_view(params, image.dtype), image, head, centroid)
 
 
 def input_gradient(params: ModelParams, image, head="metric") -> np.ndarray:
@@ -178,39 +192,26 @@ def mc_directional_norm(params: ModelParams, image, p=2.0, t=1e-4,
     if rng is None:
         rng = Rng(0)
     image = np.asarray(image, dtype=np.float64)
+    view = inference_view(params, image.dtype)
     centroid = None
     if head == "metric":
-        out = forward(params, Tensor(image[None]), mode="inference",
-                      update_running=False)
-        centroid = _frozen_centroid(out)
+        centroid = _frozen_centroid(_probe_forward(view, image))
 
     def f(x):
-        return scalarized_output(params, x, head, centroid)
+        return _probe_scalar(view, x, head, centroid)
 
     return mc_directional_fn(f, image, p, t, n_samples, rng)
 
 
 def _absolute_params(params: ModelParams) -> ModelParams:
-    """Copy of the model whose every linear coefficient is replaced by its
-    absolute value and every shift dropped; batch norm keeps its running
-    variance so the affine gain becomes |gamma| / sqrt(var + eps)."""
-
-    def abs_conv(cp):
-        return ConvParams(weight=Tensor(np.abs(cp.weight.data)),
-                          bias=Tensor(np.zeros_like(cp.bias.data)),
-                          stride=cp.stride)
-
-    def abs_bn(bn):
-        if bn is None:
-            return None
-        return BatchNormParams(gamma=Tensor(np.abs(bn.gamma.data)),
-                               beta=Tensor(np.zeros_like(bn.beta.data)),
-                               running_mean=np.zeros_like(bn.running_mean),
-                               running_var=bn.running_var.copy(), eps=bn.eps)
-
-    return ModelParams(config=params.config, layers=[
-        replace(layer, conv=abs_conv(layer.conv), bn=abs_bn(layer.bn))
-        for layer in params.layers])
+    """The inference view with every coefficient replaced by its absolute
+    value and every shift dropped.  Batch norm is folded into the convs, so
+    a kernel's |a * W| is |gamma| / sqrt(var + eps) times |W|."""
+    view = inference_view(params, np.float64)
+    for layer in view.layers:
+        np.abs(layer.conv.weight.data, out=layer.conv.weight.data)
+        layer.conv.bias.data[...] = 0.0
+    return view
 
 
 def lipschitz_bound(params: ModelParams, norm="l2", head="metric") -> BoundReport:
@@ -249,12 +250,10 @@ def distortion_sensitivity(params: ModelParams, image, spec: DistortionSpec,
     e_in = float(np.linalg.norm((perturbed - image).reshape(-1)))
     if e_in == 0.0:
         raise ValueError("distortion left the input unchanged; ratio undefined")
-    centroid = None
-    if head == "metric":
-        out = forward(params, Tensor(image[None]), mode="inference",
-                      update_running=False)
-        centroid = _frozen_centroid(out)
-    f0 = scalarized_output(params, image, head, centroid)
-    f1 = scalarized_output(params, perturbed, head, centroid)
+    view = inference_view(params, image.dtype)
+    out = _probe_forward(view, image)
+    centroid = _frozen_centroid(out) if head == "metric" else None
+    f0 = float(_scalarize(out, head, centroid).data)
+    f1 = _probe_scalar(view, perturbed, head, centroid)
     e_out = abs(f1 - f0)
     return SensitivityRecord(e_input=e_in, e_output=e_out, ratio=e_out / e_in)

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .tensor import Rng
-from .model import ModelConfig, ModelParams, _build, forward
+from .model import ModelConfig, ModelParams, _build, forward, inference_view
 from .losses import (combined_loss, cross_entropy, per_pixel_cross_entropy,
                      hard_negative_sample)
 from .saliency import saliency_maps
@@ -163,9 +163,10 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 
 def validate(params: ModelParams, dataset):
     """Mean F-measure / MAE of the metric saliency maps over a dataset."""
+    view = inference_view(params, np.float32)
     reports = []
     for rec in dataset:
-        out = forward(params, rec.image[None].astype(np.float32),
+        out = forward(view, rec.image[None].astype(np.float32),
                       mode="inference", update_running=False)
         maps = saliency_maps(out)
         reports.append(evaluate(maps.metric_map, rec.mask))
@@ -180,11 +181,12 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
 
     History rows are (iteration, l_ce, l_ml_star, total), averaged over the
     batch.  With ``out_dir`` set, checkpoints and a loss CSV are written; the
-    checkpoint with the best validation F-measure is copied to best.ment.
-    The CSV gets its header when the loop starts and each row as its step
-    ends, so an interrupted run keeps the rows of its finished steps; a
-    resumed run keeps the rows before ``start_iteration`` and appends after
-    them.
+    checkpoint with the best validation F-measure is copied to best.ment; a
+    resumed run first validates the best.ment it finds, so the earlier
+    part's best stands until a later checkpoint beats it.  The CSV gets its
+    header when the loop starts and each row as its step ends, so an
+    interrupted run keeps the rows of its finished steps; a resumed run
+    keeps the rows before ``start_iteration`` and appends after them.
     """
     if not train_set:
         raise ValueError("empty training set")
@@ -208,6 +210,11 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
     history = []
     best = None
     best_f = -1.0
+    best_path = os.path.join(out_dir, "best.ment") if out_dir else None
+    if start_iteration > 0 and val_set and best_path and os.path.exists(best_path):
+        # a resumed run competes with the best checkpoint of the earlier part
+        best = validate(load_checkpoint(best_path).params, val_set)
+        best_f = best.f_beta
     for it in range(start_iteration, config.iterations):
         step_config = config.at_iteration(it)
         rng = Rng(config.seed, stream=it + 1)
@@ -270,7 +277,7 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
                 if rep.f_beta > best_f:
                     best_f = rep.f_beta
                     best = rep
-                    _replace_atomically(os.path.join(out_dir, "best.ment"),
+                    _replace_atomically(best_path,
                                         lambda tmp: shutil.copyfile(path, tmp))
     return optim_state, history, best
 

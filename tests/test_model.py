@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from salseg import model
+from salseg import layers, model
 from salseg.tensor import Tensor, Rng
 from salseg.model import ModelConfig, build, forward
 
@@ -262,3 +262,80 @@ class TestLiveTaps:
             for x, y in ((a.embedding, b.embedding), (a.ce_probs, b.ce_probs)):
                 np.testing.assert_allclose(x.data, y.data, rtol=0,
                                            atol=1e-12 * np.abs(y.data).max())
+
+
+def random_bn_model(dtype, seed=0):
+    """The tiny model with random running statistics, gamma and beta, so
+    folding the batch norms changes every conv it touches."""
+    cfg = ModelConfig(input_size=8, base_channels=2, convs_per_block=1,
+                      embedding_dim=4)
+    params = build(cfg, Rng(seed), dtype=dtype)
+    rng = Rng(seed + 1)
+    for layer in params.layers:
+        if layer.bn is not None:
+            c = layer.bn.gamma.data.shape[0]
+            layer.bn.running_mean = rng.normal((c,))
+            layer.bn.running_var = rng.uniform(0.2, 3.0, (c,))
+            layer.bn.gamma.data[...] = rng.uniform(0.5, 2.0, (c,))
+            layer.bn.beta.data[...] = rng.normal((c,))
+    return params
+
+
+class TestInferenceView:
+    """The inference view is the network as a fixed function: batch norm
+    folded into each conv, weights cast once, no tensor that asks for a
+    gradient, and the same outputs as the inference forward on the
+    trained parameters."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_same_outputs_as_graph_forward(self, monkeypatch, dtype, tol):
+        params = random_bn_model(dtype, seed=2)
+        img = Rng(3).uniform(0, 1, (2, 3, 8, 8)).astype(dtype)
+        want = forward(params, img, mode="inference", update_running=False)
+        view = model.inference_view(params, dtype)
+        kinds = []
+        orig_conv = model.conv2d
+
+        def recording_conv(x, cp):
+            n, c, h, wd = x.data.shape
+            narrow = layers._narrow_side(n, c, h, wd, cp.weight.data.shape, cp.stride)
+            kinds.append("narrow" if narrow else "plain")
+            return orig_conv(x, cp)
+
+        monkeypatch.setattr(model, "conv2d", recording_conv)
+        got = forward(view, img, mode="inference", update_running=False)
+        # the fold reaches a plain conv, a narrowing conv, a transposed conv
+        # (scaled along axis 1) and both heads, which have no batch norm
+        assert {"plain", "narrow"} <= set(kinds)
+        assert any(layer.transposed for layer in view.layers)
+        assert [layer.name for layer in view.with_role("head")] == ["emb", "ce"]
+        for a, b in ((got.embedding, want.embedding), (got.ce_probs, want.ce_probs)):
+            assert a.data.dtype == dtype
+            np.testing.assert_allclose(a.data, b.data, rtol=0,
+                                       atol=tol * np.abs(b.data).max())
+
+    def test_nothing_requires_grad(self):
+        params = random_bn_model(np.float32)
+        view = model.inference_view(params, np.float64)
+        assert all(not p.requires_grad for _, p in view.named_parameters())
+        assert all(layer.bn is None for layer in view.layers)
+        assert view.named_buffers() == []
+        out = forward(view, Rng(4).uniform(0, 1, (1, 3, 8, 8)),
+                      mode="inference", update_running=False)
+        assert not out.embedding.requires_grad and not out.ce_probs.requires_grad
+
+    @pytest.mark.parametrize("param_dtype,input_dtype,want", [
+        (np.float32, np.float32, np.float32),
+        (np.float32, np.float64, np.float64),
+        (np.float64, np.float32, np.float64),
+    ])
+    def test_compute_dtype_is_the_promotion(self, param_dtype, input_dtype, want):
+        view = model.inference_view(random_bn_model(param_dtype), input_dtype)
+        assert {p.data.dtype for _, p in view.named_parameters()} == {np.dtype(want)}
+
+    def test_shares_no_array_with_the_model(self):
+        params = random_bn_model(np.float64)
+        view = model.inference_view(params, np.float64)
+        for layer, folded in zip(params.layers, view.layers):
+            assert not np.shares_memory(layer.conv.weight.data, folded.conv.weight.data)
+            assert not np.shares_memory(layer.conv.bias.data, folded.conv.bias.data)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from salseg.tensor import Tensor, Rng, finite_diff_check
-from salseg.model import ModelConfig, build, forward
-from salseg.distortions import DistortionSpec
+from salseg.model import ModelConfig, build, forward, inference_view
+from salseg.data import generate_synthetic
+from salseg.distortions import DistortionSpec, apply as apply_distortion
 from salseg import robustness
 from salseg.robustness import (input_gradient, jacobian_stats,
                                mc_directional_fn, mc_directional_norm,
@@ -15,6 +16,29 @@ def tiny_model(seed=0, dtype=np.float64, **overrides):
     cfg = ModelConfig(input_size=8, base_channels=2, convs_per_block=1,
                       embedding_dim=4, **overrides)
     return cfg, build(cfg, Rng(seed), dtype=dtype)
+
+
+def random_bn(params, seed):
+    """Random running statistics, gamma and beta in place, so a folded
+    batch norm is not the identity."""
+    rng = Rng(seed)
+    for layer in params.layers:
+        if layer.bn is not None:
+            c = layer.bn.gamma.data.shape[0]
+            layer.bn.running_mean = rng.normal((c,))
+            layer.bn.running_var = rng.uniform(0.2, 3.0, (c,))
+            layer.bn.gamma.data[...] = rng.uniform(0.5, 2.0, (c,))
+            layer.bn.beta.data[...] = rng.normal((c,))
+    return params
+
+
+def graph_scalar(params, image, head, centroid=None):
+    """The probe scalar from an inference forward on the trained parameters
+    themselves, batch norm unfolded and an autodiff graph recorded: the
+    reference the inference-view probes are checked against."""
+    out = forward(params, Tensor(np.asarray(image)[None]), mode="inference",
+                  update_running=False)
+    return float(robustness._scalarize(out, head, centroid).data)
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +106,99 @@ class TestInputGradient:
 class TestParameterGradients:
     @pytest.mark.parametrize("head", ["metric", "ce"])
     def test_probes_without_input_gradient_write_none(self, image, head):
-        cfg, params = tiny_model(seed=5)
+        # they also leave every parameter and running statistic byte-identical
+        params = random_bn(tiny_model(seed=5, dtype=np.float32)[1], seed=6)
+
+        def snapshot():
+            return ([p.data.tobytes() for _, p in params.named_parameters()]
+                    + [b.tobytes() for _, b in params.named_buffers()])
+
+        before = snapshot()
         mc_directional_norm(params, image, n_samples=3, rng=Rng(1), head=head)
         scalarized_output(params, image, head=head)
         distortion_sensitivity(params, image, DistortionSpec(kind="awgn", sigma=0.1),
                                rng=Rng(2), head=head)
         lipschitz_bound(params, head=head)
         assert all(p.grad is None for _, p in params.named_parameters())
+        assert snapshot() == before
+
+
+class TestInferenceViewProbes:
+    """The value probes run through the inference view; they agree with the
+    graph path within float rounding and leave the model as they found it."""
+
+    @pytest.fixture(scope="class")
+    def folded(self):
+        # float32 weights, as a trained checkpoint has, probed in float64
+        return random_bn(tiny_model(seed=16, dtype=np.float32)[1], seed=17)
+
+    @pytest.mark.parametrize("head", ["metric", "ce"])
+    def test_scalarized_output_matches_graph_path(self, folded, image, head):
+        want = graph_scalar(folded, image, head)
+        assert scalarized_output(folded, image, head=head) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("head", ["metric", "ce"])
+    def test_mc_estimate_matches_graph_path(self, folded, image, head):
+        centroid = None
+        if head == "metric":
+            out = forward(folded, Tensor(image[None]), mode="inference",
+                          update_running=False)
+            centroid = robustness._frozen_centroid(out)
+        want = mc_directional_fn(lambda x: graph_scalar(folded, x, head, centroid),
+                                 image, p=2, t=1e-4, n_samples=20, rng=Rng(18))
+        got = mc_directional_norm(folded, image, p=2, t=1e-4, n_samples=20,
+                                  rng=Rng(18), head=head)
+        assert got.estimate == pytest.approx(want.estimate, rel=1e-8)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-6)
+
+    @pytest.mark.parametrize("head", ["metric", "ce"])
+    def test_distortion_ratio_takes_f0_from_the_centroid_forward(
+            self, monkeypatch, folded, image, head):
+        spec = DistortionSpec(kind="awgn", sigma=0.05, seed=21)
+        calls = []
+        real_forward = robustness.forward
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(robustness, "forward", counting)
+        rec = distortion_sensitivity(folded, image, spec, head=head)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        # the three-forward form: centroid, f(x) and f(x_hat) separately
+        centroid = None
+        if head == "metric":
+            view = inference_view(folded, np.float64)
+            out = forward(view, Tensor(image[None]), mode="inference",
+                          update_running=False)
+            centroid = robustness._frozen_centroid(out)
+        perturbed = apply_distortion(image, spec)
+        f0 = scalarized_output(folded, image, head, centroid)
+        f1 = scalarized_output(folded, perturbed, head, centroid)
+        assert rec.ratio == abs(f1 - f0) / rec.e_input
+
+
+class TestProbeCrossCheck:
+    """Two independent probes of the desk-shaped model: at p = 2 the MC
+    estimate of the metric scalar converges to ||input_gradient||^2 / d,
+    since the scalar is smooth at the scale of t."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        cfg = ModelConfig(input_size=64, base_channels=4)
+        return build(cfg, Rng(22), dtype=np.float64), generate_synthetic(3, 64, Rng(23))
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_mc_estimate_matches_gradient_norm(self, desk, index):
+        params, records = desk
+        image = records[index].image.astype(np.float64)
+        g = input_gradient(params, image)
+        want = float((g ** 2).sum()) / g.size
+        est = mc_directional_norm(params, image, p=2, t=1e-4, n_samples=200,
+                                  rng=Rng(24, stream=index + 1))
+        assert est.stderr > 0
+        assert abs(est.estimate - want) <= 4 * est.stderr
 
 
 class TestJacobianStats:

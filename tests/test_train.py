@@ -10,6 +10,7 @@ from salseg import train
 from salseg.tensor import Tensor, Rng
 from salseg.model import ModelConfig, build, forward
 from salseg.data import generate_synthetic
+from salseg.metrics import EvalReport
 from salseg.losses import SampleSet, combined_loss
 from salseg.robustness import input_gradient
 from salseg.train import (TrainConfig, OptimState, CheckpointError, sgd_step,
@@ -275,6 +276,36 @@ class TestTrainLoop:
                    log=lambda m: None)
         assert ((resumed / "loss.csv").read_bytes()
                 == (full / "loss.csv").read_bytes())
+
+    def test_resume_keeps_the_earlier_best(self, tmp_path, monkeypatch):
+        cfg, params, tc, data = tiny_setup(seed=6)
+        tc = replace(tc, iterations=4)
+        val = generate_synthetic(2, 8, Rng(5))
+        scores = {2: 0.9, 4: 0.5}
+
+        def scored_by_iteration(model, dataset):
+            # the score of the checkpoint in tmp_path that holds these weights
+            for it, f in scores.items():
+                ck = load_checkpoint(tmp_path / f"ckpt_{it:07d}.ment")
+                if all(np.array_equal(a.data, b.data) for (_, a), (_, b)
+                       in zip(model.named_parameters(), ck.params.named_parameters())):
+                    return EvalReport(t_adp=0.5, precision=f, recall=f, f_beta=f, mae=0.1)
+            raise AssertionError("validated weights of no known checkpoint")
+
+        monkeypatch.setattr(train, "validate", scored_by_iteration)
+        _, _, best = train_loop(params, tc, data, val_set=val, out_dir=tmp_path,
+                                log=lambda m: None)
+        ckpt2 = (tmp_path / "ckpt_0000002.ment").read_bytes()
+        assert best.f_beta == 0.9
+        assert (tmp_path / "best.ment").read_bytes() == ckpt2
+
+        ck = load_checkpoint(tmp_path / "ckpt_0000002.ment")
+        _, _, best = train_loop(ck.params, tc, data, val_set=val, out_dir=tmp_path,
+                                start_iteration=ck.iteration,
+                                optim_state=ck.optim_state, log=lambda m: None)
+        assert best.f_beta == 0.9
+        assert (tmp_path / "best.ment").read_bytes() == ckpt2
+        assert load_checkpoint(tmp_path / "best.ment").iteration == 2
 
     def test_resume_without_optimizer_state_refused(self):
         cfg, params, tc, data = tiny_setup(seed=7)
