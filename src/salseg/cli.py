@@ -376,8 +376,9 @@ def cmd_dump_features(args) -> int:
     ck = load_checkpoint(args.ckpt)
     image = load_image(args.image)
     os.makedirs(args.out, exist_ok=True)
-    out = forward(ck.params, image[None].astype(np.float32),
-                  mode="inference", update_running=False)
+    out = forward(inference_view(ck.params, np.float32),
+                  image[None].astype(np.float32), mode="inference",
+                  update_running=False)
     emb = out.embedding.data[0]
     named = [(f"scale_{s:02d}", m.data[0, 0]) for s, m in enumerate(out.scale_maps)]
     named += [(f"embedding_{c:02d}", e) for c, e in enumerate(emb)]

@@ -11,9 +11,19 @@ gradient multiply by the patch matrix: the padded input's kh*kw taps copied
 once into a contiguous (C*kh*kw, N*Ho*Wo) array whose rows are in the
 kernel's (C, kh, kw) order.  The data gradient (which is also the transposed
 convolution's forward map) multiplies by the transposed kernel matrix and
-adds the result back into the input with one strided slice per tap
-(col2im): the stride is applied in the scatter index, not by dilating the
-input with zeros.
+adds the result back into the input, one slice-add per tap (col2im):
+
+* At stride 1 the GEMM runs on the output gradient laid out on the padded
+  input grid (zeros outside each Ho x Wo corner), so every tap is one
+  contiguous run of the flattened padded map at flat offset i*Wp + j.
+* At stride 2 (the encoder's halving convs and every transposed conv) each
+  tap is one strided slice whose step is the stride; no zero-dilated copy
+  of the input is made.
+
+A 1x1 stride-1 conv (the two heads and the convs at the 1x1 bottleneck)
+needs no patch matrix at all: it is one batched matmul of the (oc, C)
+kernel with the (N, C, H*W) view of the NCHW input, and its gradients are
+matmuls on the same views.
 
 A conv gathers its taps on one of two sides:
 
@@ -27,13 +37,16 @@ A conv gathers its taps on one of two sides:
   the (narrow) output gradient once for both gradients, exactly as
   ``deconv2d`` does.  The closure keeps wt and no patch matrix.
 
-``conv2d`` takes the output side when that moves fewer elements:
+For k > 1, ``conv2d`` takes the output side when that moves fewer elements:
 oc*(N*H*W + C) < C*N*H*W, the output-side patch matrix plus one kernel copy
 against the input-side patch matrix (per tap).  The rule depends on shapes
-only.  In the desk model it picks the C -> 1 scale extractors, the
-decoder's first conv of the wider blocks and the 1x1 CE head; the wide
-convs on small maps stay on the input side, where flipping a large kernel
-would cost more than it saves.
+only.  In the desk model it picks the 3x3 C -> 1 scale extractors and the
+decoder's first conv of the wider blocks; the wide convs on small maps stay
+on the input side, where flipping a large kernel would cost more than it
+saves.
+
+Each op adds its bias in place into the array it has just computed, and a
+ReLU on an input that needs no gradient builds no mask.
 """
 
 from __future__ import annotations
@@ -126,20 +139,41 @@ def _conv_bwd_data(gy, w, stride, pad, in_hw):
     """Gradient of a correlation w.r.t. its input; also the forward map of the
     transposed convolution with the same kernel.
 
-    One GEMM gives the gradient of the patch matrix, (C*kh*kw, N*Ho*Wo);
-    col2im then adds each tap's rows back into the padded input with one
-    strided slice-add per tap.  The stride is the step of that slice, so no
-    zero-dilated copy of ``gy`` is made and the kernel is neither flipped
-    nor copied."""
+    One GEMM gives the gradient of the patch matrix; col2im then adds each
+    tap's rows back into the padded input, and a crop removes the padding.
+    The kernel is neither flipped nor copied.
+
+    At stride 1 the output gradient is first placed in the top-left Ho x Wo
+    corner of each zero Hp x Wp padded map, so the GEMM's columns are the
+    flattened padded grid.  Tap (i, j) then shifts every column by the same
+    flat offset i*Wp + j, and its add is one contiguous run of N*Hp*Wp
+    elements per channel row: an entry that crosses a row or image boundary
+    comes from the zero margin, so it adds nothing.  At stride 2 the taps
+    interleave, and each is one strided slice-add whose step is the stride,
+    so no zero-dilated copy of ``gy`` is made."""
     n, oc, ho, wo = gy.shape
     _, ic, kh, kw = w.shape
     h, wd = in_hw
-    dcols = (w.reshape(oc, -1).T @ _rows(gy)).reshape(ic, kh, kw, n, ho, wo)
-    gxp = np.zeros((ic, n, h + 2 * pad, wd + 2 * pad), dtype=dcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i:i + stride * (ho - 1) + 1:stride,
-                j:j + stride * (wo - 1) + 1:stride] += dcols[:, i, j]
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    wmat = w.reshape(oc, -1).T
+    if stride == 1:
+        gyp = np.zeros((oc, n, hp, wp), dtype=gy.dtype)
+        gyp[:, :, :ho, :wo] = gy.transpose(1, 0, 2, 3)
+        run = n * hp * wp
+        dcols = (wmat @ gyp.reshape(oc, run)).reshape(ic, kh, kw, run)
+        gxp = np.zeros((ic, run), dtype=dcols.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                off = i * wp + j
+                gxp[:, off:] += dcols[:, i, j, :run - off]
+        gxp = gxp.reshape(ic, n, hp, wp)
+    else:
+        dcols = (wmat @ _rows(gy)).reshape(ic, kh, kw, n, ho, wo)
+        gxp = np.zeros((ic, n, hp, wp), dtype=dcols.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i:i + stride * (ho - 1) + 1:stride,
+                    j:j + stride * (wo - 1) + 1:stride] += dcols[:, i, j]
     return np.ascontiguousarray(
         gxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
 
@@ -174,7 +208,8 @@ def _scatter_op(x, w, b, stride, pad, out_hw, flipped=False):
     kernel = _flip_t(w.data) if flipped else w.data
     n, _, h, wd = x.data.shape
     _, _, kh, kw = kernel.shape
-    out = _conv_bwd_data(x.data, kernel, stride, pad, out_hw) + b.data.reshape(1, -1, 1, 1)
+    out = _conv_bwd_data(x.data, kernel, stride, pad, out_hw)
+    out += b.data.reshape(1, -1, 1, 1)
 
     def bwd(g):
         gx = gw = None
@@ -191,6 +226,30 @@ def _scatter_op(x, w, b, stride, pad, out_hw, flipped=False):
     return Tensor._make(out, (x, w, b), bwd)
 
 
+def _pointwise_op(x, w, b):
+    """A 1x1 stride-1 correlation, plus ``b``, recorded as an op on (x, w,
+    b): one batched matmul of the (oc, C) kernel with the (N, C, H*W) view
+    of the input, so there is no patch matrix and no transpose.  The
+    backward is gx = w^T @ g per image and gw = sum over images of
+    g @ x^T."""
+    n, c, h, wd = x.data.shape
+    oc = w.data.shape[0]
+    wmat = w.data.reshape(oc, c)
+    x3 = x.data.reshape(n, c, h * wd)
+    out = wmat @ x3
+    out += b.data.reshape(1, -1, 1)
+
+    def bwd(g):
+        g3 = g.reshape(n, oc, h * wd)
+        gx = (wmat.T @ g3).reshape(x.data.shape) if x.requires_grad else None
+        gw = ((g3 @ x3.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
+              if w.requires_grad else None)
+        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
+        return gx, gw, gb
+
+    return Tensor._make(out.reshape(n, oc, h, wd), (x, w, b), bwd)
+
+
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     w, b, stride, pad = params.weight, params.bias, params.stride, params.pad
     if stride not in (1, 2):
@@ -200,10 +259,13 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         raise ValueError(f"channel mismatch: input has {c}, kernel expects {w.data.shape[1]}")
     if stride == 2 and (h % 2 or wd % 2):
         raise ValueError(f"stride-2 conv needs even spatial size, got {h}x{wd}")
+    if stride == 1 and w.data.shape[2:] == (1, 1):
+        return _pointwise_op(x, w, b)
     if _narrow_side(n, c, h, wd, w.data.shape, stride):
         return _scatter_op(x, w, b, 1, pad, (h, wd), flipped=True)
     cols, out_hw = _patches(x.data, w.data.shape[2], w.data.shape[3], stride, pad)
-    out = _conv_fwd(cols, w.data, n, out_hw) + b.data.reshape(1, -1, 1, 1)
+    out = _conv_fwd(cols, w.data, n, out_hw)
+    out += b.data.reshape(1, -1, 1, 1)
     # the weight gradient is the one reader of the forward's patch matrix:
     # the closure keeps it only when that gradient is wanted
     cols = cols if w.requires_grad else None
@@ -303,6 +365,10 @@ def batch_norm(x: Tensor, params: BatchNormParams, mode: str = "train",
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0).  The mask the backward multiplies by is built only when
+    ``x`` needs a gradient; otherwise there is no backward to keep."""
+    if not x.requires_grad:
+        return Tensor(np.maximum(x.data, 0))
     mask = x.data > 0
 
     def bwd(g):

@@ -195,9 +195,12 @@ def hard_negative_sample(per_pixel_loss: np.ndarray, labels: np.ndarray) -> Samp
     else:
         minority, majority = neg, pos
     m = minority.size
-    # sort majority by (-loss, index); lexsort keys are last-key-primary
-    order = np.lexsort((majority, -loss[majority]))
-    picked = majority[order[:m]]
+    # every majority pixel above the m-th largest loss, then the lowest-index
+    # pixels equal to it (``majority`` is in index order); no full sort
+    lm = loss[majority]
+    kth = np.partition(lm, lm.size - m)[lm.size - m]
+    above = majority[lm > kth]
+    picked = np.concatenate([above, majority[lm == kth][:m - above.size]])
     if pos.size <= neg.size:
         return SampleSet(positive=np.sort(pos), negative=np.sort(picked))
     return SampleSet(positive=np.sort(picked), negative=np.sort(neg))

@@ -127,7 +127,9 @@ def sgd_step(params: ModelParams, grads: dict, state: OptimState,
              config: TrainConfig) -> None:
     """v <- momentum * v + g + weight_decay * theta; theta <- theta - lr * v.
 
-    Weight decay is coupled (enters the gradient before momentum).
+    Weight decay is coupled (enters the gradient before momentum).  The
+    stored velocity is updated in place, in the parameter's dtype; one whose
+    dtype differs (set from outside the optimizer) is cast once first.
     """
     for name, p in params.named_parameters():
         g = grads.get(name)
@@ -140,11 +142,14 @@ def sgd_step(params: ModelParams, grads: dict, state: OptimState,
         v = state.velocity.get(name)
         if v is None:
             v = np.zeros_like(p.data)
-        v = config.momentum * v + g.astype(p.data.dtype, copy=False)
+        elif v.dtype != p.data.dtype:
+            v = v.astype(p.data.dtype)
+        state.velocity[name] = v
+        v *= config.momentum
+        v += g.astype(p.data.dtype, copy=False)
         if config.weight_decay:
             v += config.weight_decay * p.data
-        state.velocity[name] = v.astype(p.data.dtype, copy=False)
-        p.data -= config.learning_rate * state.velocity[name]
+        p.data -= config.learning_rate * v
     state.iteration += 1
 
 

@@ -342,3 +342,64 @@ class TestEvalIdentity:
         doc = json.loads(report.read_text())
         assert doc["aggregate"]["f_beta"] == 1.0
         assert doc["aggregate"]["mae"] == 0.0
+
+
+class TestDumpFeatures:
+    def test_fields_come_from_the_inference_view(self, tmp_path, monkeypatch):
+        """``dump-features`` forwards through the inference view: no tensor
+        of its forward asks for a gradient, and the fields it writes equal
+        the graph forward's on the checkpoint's parameters."""
+        from salseg import cli
+        from salseg.data import save_image
+        from salseg.model import ModelConfig, build, forward
+        from salseg.tensor import Rng
+        from salseg.train import save_checkpoint
+
+        params = build(ModelConfig(**TINY["model"]), Rng(21))
+        rng = Rng(22)
+        for layer in params.layers:
+            if layer.bn is not None:
+                c = layer.bn.gamma.data.shape[0]
+                layer.bn.running_mean = rng.normal((c,))
+                layer.bn.running_var = rng.uniform(0.2, 3.0, (c,))
+        ckpt, image_file = tmp_path / "m.ment", tmp_path / "x.ppm"
+        save_checkpoint(ckpt, params)
+        save_image(image_file, rng.uniform(0, 1, (3, 8, 8)))
+
+        written, outs, loaded = {}, [], []
+        real_forward, real_load = cli.forward, cli.load_checkpoint
+
+        def spy_forward(*args, **kwargs):
+            outs.append(real_forward(*args, **kwargs))
+            return outs[-1]
+
+        def spy_load(path):
+            loaded.append(real_load(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "forward", spy_forward)
+        monkeypatch.setattr(cli, "load_checkpoint", spy_load)
+        monkeypatch.setattr(cli, "save_gray", lambda path, field:
+                            written.__setitem__(os.path.basename(path), field))
+        assert run("dump-features", "--ckpt", str(ckpt), "--image",
+                   str(image_file), "--out", str(tmp_path / "feats")) == 0
+
+        (out,) = outs
+        assert not out.embedding.requires_grad
+        assert not any(m.requires_grad for m in out.scale_maps)
+        ck_params = loaded[0].params
+        assert all(p.grad is None for _, p in ck_params.named_parameters())
+
+        image = cli.load_image(str(image_file))[None].astype(np.float32)
+        want = real_forward(ck_params, image, mode="inference", update_running=False)
+        fields = [(f"scale_{s:02d}.pgm", m.data[0, 0])
+                  for s, m in enumerate(want.scale_maps)]
+        fields += [(f"embedding_{c:02d}.pgm", e)
+                   for c, e in enumerate(want.embedding.data[0])]
+        assert sorted(written) == sorted(name for name, _ in fields)
+        for name, field in fields:
+            field = field.astype(np.float64)
+            lo, hi = field.min(), field.max()
+            # a field from the 1x1 bottleneck is constant and written as zeros
+            norm = (field - lo) / (hi - lo) if hi > lo else np.zeros_like(field)
+            assert np.abs(written[name] - norm).max() <= 1e-5

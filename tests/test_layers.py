@@ -100,25 +100,31 @@ class TestConv2d:
                                       .transpose(1, 0, 2, 3))
 
     @pytest.mark.parametrize("oc,ic,k", [(1, 8, 3), (8, 16, 3), (2, 13, 1)])
-    def test_narrow_and_gather_paths_agree(self, monkeypatch, oc, ic, k):
+    def test_narrow_and_gather_paths_agree(self, oc, ic, k):
+        """The output-side gather (k = 3) and the 1x1 batched matmul (k = 1)
+        against the input-side patch-matrix kernels, called directly."""
         rng = Rng(12, oc)
         p = make_conv(rng, oc=oc, ic=ic, k=k)
         xdata = rng.normal((2, ic, 16, 16))
         n, c, h, w = xdata.shape
-        assert layers._narrow_side(n, c, h, w, p.weight.data.shape, 1)
+        assert k == 1 or layers._narrow_side(n, c, h, w, p.weight.data.shape, 1)
         gy = rng.normal((2, oc, 16, 16))
 
-        def run():
-            x = Tensor(xdata, requires_grad=True)
-            p.weight.grad = p.bias.grad = None
-            y = conv2d(x, p)
-            y.backward(gy)
-            return y.data, x.grad, p.weight.grad, p.bias.grad
+        x = Tensor(xdata, requires_grad=True)
+        y = conv2d(x, p)
+        held = [cell.cell_contents for cell in y._backward_fn.__closure__]
+        assert not any(isinstance(a, np.ndarray) and a.shape[0] == ic * k * k
+                       and a.ndim == 2 for a in held), "no patch matrix kept"
+        y.backward(gy)
+        fast = y.data, x.grad, p.weight.grad, p.bias.grad
 
-        narrow = run()
-        monkeypatch.setattr(layers, "_narrow_side", lambda *args: False)
-        gather = run()
-        for a, b in zip(narrow, gather):
+        wd, pad = p.weight.data, (k - 1) // 2
+        cols, out_hw = layers._patches(xdata, k, k, 1, pad)
+        gather = (layers._conv_fwd(cols, wd, n, out_hw) + p.bias.data.reshape(1, -1, 1, 1),
+                  layers._conv_bwd_data(gy, wd, 1, pad, (h, w)),
+                  layers._conv_bwd_w(cols, gy, wd.shape),
+                  gy.sum(axis=(0, 2, 3)))
+        for a, b in zip(fast, gather):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     @pytest.mark.parametrize("weight_grad", [True, False])
@@ -153,6 +159,50 @@ class TestConv2d:
             return conv2d(x, ConvParams(weight=w.reshape(2, 2, 3, 3), bias=b)).square().sum()
 
         assert finite_diff_check(lambda w: fn(w), Tensor(w0.reshape(-1))) < 1e-4
+
+
+    # a 2x2 kernel has no padding, so it needs a map of at least 2x2
+    @pytest.mark.parametrize("k,size", [(1, 1), (1, 2), (1, 16), (2, 2),
+                                        (2, 16), (3, 1), (3, 2), (3, 16)])
+    def test_stride1_data_gradient_matches_per_tap_scatter(self, k, size):
+        """Stride-1 col2im on the flattened padded map against a scatter that
+        adds each tap's contribution into the padded input separately."""
+        pad = (k - 1) // 2
+        out = size + 2 * pad - k + 1
+        rng = Rng(13, 100 * k + size)
+        n, ic, oc = 2, 3, 4
+        w = rng.normal((oc, ic, k, k))
+        gy = rng.normal((n, oc, out, out))
+        want = np.zeros((n, ic, size + 2 * pad, size + 2 * pad))
+        for i in range(k):
+            for j in range(k):
+                want[:, :, i:i + out, j:j + out] += np.einsum(
+                    "noyx,oc->ncyx", gy, w[:, :, i, j])
+        want = want[:, :, pad:pad + size, pad:pad + size]
+        got = layers._conv_bwd_data(gy, w, 1, pad, (size, size))
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("oc,ic,k,size,stride,transposed", [
+        (4, 3, 3, 8, 1, False),    # input side
+        (1, 8, 3, 16, 1, False),   # output side
+        (2, 13, 1, 4, 1, False),   # 1x1 matmul
+        (3, 1, 1, 1, 1, False),    # 1x1 matmul on a 1x1 map, one input channel
+        (4, 3, 2, 2, 2, False),    # stride 2
+        (4, 3, 2, 1, 2, True),     # transposed
+    ])
+    def test_output_never_aliases_the_bias(self, oc, ic, k, size, stride,
+                                           transposed):
+        rng = Rng(14)
+        shape = (ic, oc, k, k) if transposed else (oc, ic, k, k)
+        p = ConvParams(weight=Tensor(rng.normal(shape)),
+                       bias=Tensor(rng.normal((oc,))), stride=stride)
+        bias = p.bias.data.copy()
+        y = (deconv2d if transposed else conv2d)(Tensor(rng.normal((1, ic, size, size))), p)
+        assert not np.shares_memory(y.data, p.bias.data)
+        np.testing.assert_array_equal(p.bias.data, bias)
+        y.data += 1.0
+        np.testing.assert_array_equal(p.bias.data, bias)
 
 
 class TestDeconv2d:
@@ -477,6 +527,17 @@ class TestActivations:
     def test_relu_values(self):
         out = relu(Tensor(np.array([-1.0, 2.0, 0.0]))).data
         np.testing.assert_array_equal(out, [0.0, 2.0, 0.0])
+
+    def test_grad_free_relu_keeps_no_mask(self):
+        x = Tensor(np.array([[-2.0, -0.0, 0.0, 1e-300, -1e-300, 3.0]]))
+        y = relu(x)
+        assert y._backward_fn is None and y._parents == ()
+        assert not y.requires_grad and not np.shares_memory(y.data, x.data)
+        masked = x.data * (x.data > 0)
+        assert y.data.dtype == masked.dtype
+        np.testing.assert_array_equal(y.data, masked)
+        x32 = Tensor(x.data.astype(np.float32))
+        assert relu(x32).data.dtype == np.float32
 
     def test_relu_gradient_away_from_kink(self):
         point = Tensor(np.array([1.0, -2.0, 0.5]))

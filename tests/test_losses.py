@@ -363,6 +363,27 @@ class TestHardNegativeSample:
         assert s.positive.size == s.negative.size
         assert not set(s.positive) & set(s.negative)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 80), levels=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_full_sort_with_ties(self, n, levels, seed):
+        """The partition form picks exactly what a full (-loss, index) sort
+        picks; losses rounded to a few levels make ties common."""
+        rng = Rng(seed)
+        labels = (rng.uniform(shape=(n,)) > rng.uniform()).astype(int)
+        labels[:2] = [0, 1]
+        loss = np.round(rng.uniform(0, 1, (n,)) * levels) / levels
+        lab = labels.astype(bool)
+        pos, neg = np.flatnonzero(lab), np.flatnonzero(~lab)
+        minority, majority = (pos, neg) if pos.size <= neg.size else (neg, pos)
+        order = np.lexsort((majority, -loss[majority]))
+        picked = np.sort(majority[order[:minority.size]])
+        s = hard_negative_sample(loss.reshape(1, n), labels.reshape(1, n))
+        got = s.negative if pos.size <= neg.size else s.positive
+        np.testing.assert_array_equal(got, picked)
+        np.testing.assert_array_equal(
+            s.positive if pos.size <= neg.size else s.negative, minority)
+
 
 def test_per_pixel_cross_entropy_field():
     probs = np.stack([np.full((2, 2), 0.25), np.full((2, 2), 0.75)])

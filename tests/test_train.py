@@ -181,6 +181,65 @@ class TestSgdStep:
             sgd_step(params, {name: np.zeros(p.data.shape + (1,))},
                      OptimState(), TrainConfig())
 
+    @staticmethod
+    def out_of_place_step(params, grads, velocity, config):
+        """The update written with fresh arrays, the reference for the
+        in-place ``sgd_step``."""
+        for name, p in params.named_parameters():
+            g = grads.get(name, np.zeros_like(p.data))
+            v = velocity.get(name, np.zeros_like(p.data))
+            v = config.momentum * v + g.astype(p.data.dtype, copy=False)
+            if config.weight_decay:
+                v += config.weight_decay * p.data
+            velocity[name] = v.astype(p.data.dtype, copy=False)
+            p.data -= config.learning_rate * velocity[name]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_is_bit_equal(self, tmp_path, dtype):
+        cfg = ModelConfig(input_size=8, base_channels=2, convs_per_block=1,
+                          embedding_dim=4)
+        params, ref = build(cfg, Rng(1), dtype=dtype), build(cfg, Rng(1), dtype=dtype)
+        tc = TrainConfig(learning_rate=0.05, momentum=0.9, weight_decay=1e-3)
+        state, ref_velocity = OptimState(), {}
+        rng = Rng(2)
+
+        def step(params, state):
+            # float64 gradients on every other tensor, none for the last one
+            named = params.named_parameters()
+            grads = {n: rng.normal(p.data.shape, dtype=np.float64 if i % 2 else dtype)
+                     for i, (n, p) in enumerate(named[:-1])}
+            sgd_step(params, grads, state, tc)
+            self.out_of_place_step(ref, grads, ref_velocity, tc)
+
+        def assert_bit_equal(params, state):
+            for (n, p), (_, q) in zip(params.named_parameters(), ref.named_parameters()):
+                assert p.data.dtype == q.data.dtype == dtype
+                assert p.data.tobytes() == q.data.tobytes()
+                assert state.velocity[n].dtype == dtype
+                assert state.velocity[n].tobytes() == ref_velocity[n].tobytes()
+
+        for _ in range(3):
+            step(params, state)
+        assert_bit_equal(params, state)
+        # resume: the velocities come back from the checkpoint
+        path = tmp_path / "s.ment"
+        save_checkpoint(path, params, train_config=tc, optim_state=state)
+        ck = load_checkpoint(path)
+        for _ in range(3):
+            step(ck.params, ck.optim_state)
+        assert_bit_equal(ck.params, ck.optim_state)
+
+    def test_velocity_of_another_dtype_is_cast_once(self):
+        params = self.make_params()
+        name, p = params.named_parameters()[0]
+        tc = TrainConfig(learning_rate=0.1, momentum=0.5, weight_decay=0.0)
+        v64 = np.ones(p.data.shape)
+        state = OptimState(velocity={name: v64})
+        sgd_step(params, {}, state, tc)
+        assert state.velocity[name].dtype == p.data.dtype
+        np.testing.assert_array_equal(v64, 1.0)  # the caller's array is untouched
+        np.testing.assert_array_equal(state.velocity[name], 0.5)
+
 
 class TestTrainLoop:
     def test_zero_lr_leaves_parameters_unchanged(self):
