@@ -36,7 +36,7 @@ from .data import (FormatError, generate_synthetic, save_dataset, load_dataset,
 from .train import (TrainConfig, CheckpointError, train_loop, save_checkpoint,
                     load_checkpoint)
 from .robustness import (input_gradient, jacobian_stats, mc_directional_norm,
-                         lipschitz_bound)
+                         lipschitz_bound, check_head, check_norm, check_mc)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -247,6 +247,13 @@ def cmd_robustness(args) -> int:
     rcfg = cfg["robustness"]
     head = rcfg["head"]
     norm = args.bound or rcfg["norm"]
+    mc = rcfg["mc"]
+    if args.mc:
+        mc = {"p": float(args.mc[0]), "t": float(args.mc[1]),
+              "n_samples": int(args.mc[2])}
+    check_head(head)
+    check_norm(norm)
+    check_mc(**mc)
     ck = load_checkpoint(args.ckpt)
     _, records = load_dataset(args.images)
     write_run_metadata(args.out, cfg, "robustness")
@@ -259,10 +266,6 @@ def cmd_robustness(args) -> int:
             return EXIT_NUMERIC
     jrep = jacobian_stats(grads)
     bound = lipschitz_bound(ck.params, norm=norm, head=head)
-    mc = rcfg["mc"]
-    if args.mc:
-        mc = {"p": float(args.mc[0]), "t": float(args.mc[1]),
-              "n_samples": int(args.mc[2])}
     estimates = []
     for i, rec in enumerate(records):
         est = mc_directional_norm(ck.params, rec.image, p=mc["p"], t=mc["t"],

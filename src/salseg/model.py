@@ -250,11 +250,11 @@ def inference_view(params: ModelParams, input_dtype) -> ModelParams:
 
 
 def forward(params: ModelParams, image: Tensor, mode: str = "inference",
-            update_running: bool = None, _linearize: bool = False) -> ForwardOutput:
+            update_running: bool = None) -> ForwardOutput:
     """Run the network.  ``mode`` is "train" (batch statistics) or
-    "inference" (running statistics).  ``_linearize`` replaces every
-    nonlinearity by its derivative-bound surrogate; used by the robustness
-    bound, never for prediction."""
+    "inference" (running statistics).  The robustness bound runs its
+    absolute network (non-negative kernels, zero biases, no batch norm)
+    through this same forward, where every ReLU input is >= 0."""
     cfg = params.config
     if mode not in ("train", "inference"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -266,23 +266,20 @@ def forward(params: ModelParams, image: Tensor, mode: str = "inference",
         raise ValueError(f"image shape {x.data.shape} does not match config "
                          f"(N, {cfg.in_channels}, {cfg.input_size}, {cfg.input_size})")
 
-    act = (lambda t: t) if _linearize else relu
-    bn_mode = "inference" if _linearize else mode
-
     def apply(layer, t):
         # the ops are looked up in this module at call time, so wrapping
         # salseg.model.conv2d & co. from outside sees every call
         t = (deconv2d if layer.transposed else conv2d)(t, layer.conv)
         if layer.bn is None:
             return t
-        return batch_norm(t, layer.bn, mode=bn_mode, update_running=update_running)
+        return batch_norm(t, layer.bn, mode=mode, update_running=update_running)
 
     feats = [x]  # per-scale trunk activations, scale 0 = raw image
     t = x
     for layer in params.with_role("trunk"):
         if layer.join is not None:
             t = concat_channels([t, feats[layer.join]])
-        t = act(apply(layer, t))
+        t = relu(apply(layer, t))
         if layer.tap:
             feats.append(t)
 
@@ -300,12 +297,5 @@ def forward(params: ModelParams, image: Tensor, mode: str = "inference",
     emb_head, ce_head = params.with_role("head")
     embedding = apply(emb_head, stack)
     ce_logits = apply(ce_head, stack)
-    if _linearize:
-        # softmax derivative bound: every logit reaches every probability
-        # with |d p / d z| <= 1, realized as an all-ones 2x2 coupling
-        s = ce_logits.sum(axis=1, keepdims=True)
-        ce_probs = concat_channels([s, s])
-    else:
-        ce_probs = softmax2(ce_logits)
     return ForwardOutput(scale_maps=scale_maps, stack=stack, embedding=embedding,
-                         ce_logits=ce_logits, ce_probs=ce_probs)
+                         ce_logits=ce_logits, ce_probs=softmax2(ce_logits))

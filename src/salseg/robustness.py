@@ -15,8 +15,9 @@ Every probe that only evaluates the scalar (the Monte-Carlo estimator, the
 measured ratios) runs through the model's inference view, built once per
 call: batch norm folded into the convs, weights cast once to the compute
 dtype, no autodiff graph.  ``input_gradient`` differentiates the trained
-parameters themselves, and the absolute network is the inference view's
-magnitudes.
+parameters themselves.  The absolute network is the view's magnitudes with
+zero biases, run through the plain ``forward`` on all-ones: no ReLU input is
+negative, and one at exactly 0 has a zero product on every path to it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .tensor import Tensor, Rng
 from .model import ModelParams, forward, inference_view
-from .saliency import partition_regions, background_centroid
+from .saliency import background_centroid
 from .distortions import DistortionSpec, apply as apply_distortion
 
 _NORM_EPS = 1e-12
@@ -77,16 +78,31 @@ class SensitivityRecord:
     ratio: float
 
 
-def _check_head(head):
+def check_head(head):
+    """Reject a probe scalar other than "metric" or "ce"."""
     if head not in _HEADS:
         raise ValueError(f"unknown scalarization head {head!r}")
 
 
+def check_norm(norm):
+    """Reject a Lipschitz norm other than "l1", "l2" or "linf"."""
+    if norm not in _NORMS:
+        raise ValueError(f"unknown norm {norm!r}; expected one of {_NORMS}")
+
+
+def check_mc(p, t, n_samples):
+    """Reject a Monte-Carlo order p < 1, step t <= 0 or no sample."""
+    if not t > 0:
+        raise ValueError("step t must be positive")
+    if not p >= 1:
+        raise ValueError("order p must be >= 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+
+
 def _frozen_centroid(out, image_index=0):
-    probs = out.ce_probs.data[image_index]
-    emb = out.embedding.data[image_index]
-    part = partition_regions(probs)
-    return background_centroid(emb, part, probs)
+    return background_centroid(out.embedding.data[image_index],
+                               out.ce_probs.data[image_index])
 
 
 def _scalarize(out, head, centroid=None):
@@ -120,7 +136,7 @@ def _probe_scalar(view: ModelParams, image, head, centroid) -> float:
 def scalarized_output(params: ModelParams, image, head="metric",
                       centroid=None) -> float:
     """Value of the probe scalar at one (C, H, W) image."""
-    _check_head(head)
+    check_head(head)
     image = np.asarray(image)
     return _probe_scalar(inference_view(params, image.dtype), image, head, centroid)
 
@@ -132,7 +148,7 @@ def input_gradient(params: ModelParams, image, head="metric") -> np.ndarray:
     The pass also leaves gradients on the model's parameters;
     ``train_loop`` discards any such leftovers before its own backward
     pass."""
-    _check_head(head)
+    check_head(head)
     x = Tensor(np.asarray(image, dtype=np.float64)[None], requires_grad=True)
     out = forward(params, x, mode="inference", update_running=False)
     _scalarize(out, head).backward(np.ones(()))
@@ -164,12 +180,7 @@ def mc_directional_fn(f, x, p, t, n_samples, rng: Rng) -> DirectionalEstimate:
     input dimension; the estimator keeps that d factor rather than
     correcting for it.
     """
-    if t <= 0:
-        raise ValueError("step t must be positive")
-    if p < 1:
-        raise ValueError("order p must be >= 1")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_mc(p, t, n_samples)
     x = np.asarray(x, dtype=np.float64)
     d = x.size
     f0 = float(f(x))
@@ -188,7 +199,7 @@ def mc_directional_norm(params: ModelParams, image, p=2.0, t=1e-4,
                         head="metric") -> DirectionalEstimate:
     """Directional estimator applied to the model's probe scalar around one
     image, with the centroid frozen at the unperturbed input."""
-    _check_head(head)
+    check_head(head)
     if rng is None:
         rng = Rng(0)
     image = np.asarray(image, dtype=np.float64)
@@ -215,21 +226,17 @@ def _absolute_params(params: ModelParams) -> ModelParams:
 
 
 def lipschitz_bound(params: ModelParams, norm="l2", head="metric") -> BoundReport:
-    """Element-wise upper bound G on |input_gradient| at any input, obtained
-    by backpropagating ones through the absolute network, and the Lipschitz
-    constant M = ‖G‖ in the selected norm."""
-    _check_head(head)
-    if norm not in _NORMS:
-        raise ValueError(f"unknown norm {norm!r}; expected one of {_NORMS}")
+    """Element-wise upper bound G on |input_gradient| at any input, the
+    gradient of the absolute network's embedding sum (metric head) or logit
+    sum (CE head), and the Lipschitz constant M = ‖G‖ in the selected norm."""
+    check_head(head)
+    check_norm(norm)
     cfg = params.config
-    abs_params = _absolute_params(params)
     x = Tensor(np.ones((1, cfg.in_channels, cfg.input_size, cfg.input_size)),
                requires_grad=True)
-    out = forward(abs_params, x, mode="inference", update_running=False,
-                  _linearize=True)
-    # the distance-to-centroid derivative is bounded by 1 per channel, so
-    # summing the embedding dominates the metric scalarization
-    scalar = _scalarize(out, "ce") if head == "ce" else out.embedding.sum()
+    out = forward(_absolute_params(params), x, mode="inference",
+                  update_running=False)
+    scalar = out.ce_logits.sum() if head == "ce" else out.embedding.sum()
     scalar.backward(np.ones(()))
     g = x.grad[0]
     l1 = float(np.abs(g).sum())
@@ -244,7 +251,7 @@ def distortion_sensitivity(params: ModelParams, image, spec: DistortionSpec,
                            rng: Rng = None, head="metric") -> SensitivityRecord:
     """Measured ‖f(x̂) - f(x)‖ / ‖x̂ - x‖ for a concrete distortion, with the
     probe scalar's centroid frozen at the clean input."""
-    _check_head(head)
+    check_head(head)
     image = np.asarray(image, dtype=np.float64)
     perturbed = apply_distortion(image, spec, rng)
     e_in = float(np.linalg.norm((perturbed - image).reshape(-1)))

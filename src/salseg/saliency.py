@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import adaptive_threshold
 from .tensor import Tensor
 
 
@@ -36,15 +37,15 @@ def partition_regions(ce_probs) -> RegionPartition:
     return RegionPartition(salient=sal, background=~sal)
 
 
-def background_centroid(embeddings, partition: RegionPartition, ce_probs) -> np.ndarray:
+def background_centroid(embeddings, ce_probs) -> np.ndarray:
     """Background-probability-weighted mean embedding over the background
-    region; falls back to weighting over the whole domain when the predicted
-    background is empty."""
+    region of ``partition_regions(ce_probs)``; falls back to weighting over
+    the whole domain when the predicted background is empty."""
     emb = _as_array(embeddings)
     p0 = _as_array(ce_probs)[0]
     c = emb.shape[0]
     flat = emb.reshape(c, -1).astype(np.float64)
-    mask = partition.background.reshape(-1)
+    mask = partition_regions(ce_probs).background.reshape(-1)
     if not mask.any():
         mask = np.ones_like(mask)
     w = p0.reshape(-1).astype(np.float64) * mask
@@ -70,12 +71,9 @@ def metric_saliency(embeddings, centroid: np.ndarray):
 
 def saliency_maps(forward_out, image_index: int = 0) -> SaliencyMaps:
     """Full inference path for one image of a ForwardOutput batch."""
-    from .metrics import adaptive_threshold
-
     probs = forward_out.ce_probs.data[image_index]
     emb = forward_out.embedding.data[image_index]
-    part = partition_regions(probs)
-    centroid = background_centroid(emb, part, probs)
+    centroid = background_centroid(emb, probs)
     raw, norm = metric_saliency(emb, centroid)
     t = adaptive_threshold(norm)
     return SaliencyMaps(metric_map=norm, metric_raw=raw,

@@ -179,8 +179,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "manifest.json" in err and message in err
 
-    def test_robustness_checks_gradients_before_probes(self, tmp_path, capsys,
-                                                        monkeypatch):
+    @pytest.fixture()
+    def probe_inputs(self, tmp_path):
+        """A tiny untrained checkpoint and a two-image dataset."""
         from salseg.model import ModelConfig, build
         from salseg.tensor import Rng
         from salseg.train import save_checkpoint
@@ -188,6 +189,40 @@ class TestExitCodes:
         assert run("gen-data", "--out", str(data), "--n", "2", "--size", "8") == 0
         ckpt = tmp_path / "m.ment"
         save_checkpoint(ckpt, build(ModelConfig(**TINY["model"]), Rng(0)))
+        return ckpt, data
+
+    @pytest.mark.parametrize("robustness,mc_args", [
+        ({"head": "foo"}, None),
+        ({"norm": "l3"}, None),
+        ({"mc": {"p": 0.5}}, None),
+        ({"mc": {"t": 0}}, None),
+        ({"mc": {"n_samples": 0}}, None),
+        ({}, ["0.5", "1e-4", "5"]),
+        ({}, ["2", "0", "5"]),
+        ({}, ["2", "1e-4", "0"]),
+        ({}, ["2", "1e-4", "many"]),
+    ], ids=["head", "norm", "p", "t", "n_samples", "mc-p", "mc-t",
+            "mc-n_samples", "mc-n_samples-not-int"])
+    def test_robustness_rejects_bad_settings_before_writing(
+            self, tmp_path, capsys, monkeypatch, probe_inputs, robustness,
+            mc_args):
+        ckpt, data = probe_inputs
+        cfg, out = tmp_path / "c.json", tmp_path / "rob"
+        cfg.write_text(json.dumps({"robustness": robustness}))
+
+        def probe(*args, **kwargs):
+            raise AssertionError("probe ran with a bad setting")
+
+        monkeypatch.setattr("salseg.cli.input_gradient", probe)
+        argv = ["robustness", "--ckpt", str(ckpt), "--images", str(data),
+                "--out", str(out), "--config", str(cfg)]
+        assert run(*argv, *(["--mc", *mc_args] if mc_args else [])) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "run.json").exists()
+
+    def test_robustness_checks_gradients_before_probes(self, tmp_path, capsys,
+                                                        monkeypatch, probe_inputs):
+        ckpt, data = probe_inputs
 
         def probe(*args, **kwargs):
             raise AssertionError("probe ran after a non-finite gradient")

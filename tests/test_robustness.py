@@ -47,6 +47,19 @@ def model():
 
 
 @pytest.fixture(scope="module")
+def dead_units():
+    """A model whose absolute network has units at exactly 0: random batch
+    norm and biases, and the first kernel row of ``enc0.conv0`` zeroed."""
+    cfg, params = tiny_model(seed=25)
+    random_bn(params, seed=26)
+    rng = Rng(27)
+    for layer in params.layers:
+        layer.conv.bias.data[...] = rng.normal(layer.conv.bias.data.shape)
+    params.layers[1].conv.weight.data[0] = 0.0
+    return cfg, params
+
+
+@pytest.fixture(scope="module")
 def image():
     return Rng(4).uniform(0, 1, (3, 8, 8))
 
@@ -294,6 +307,31 @@ class TestLipschitzBound:
         rep = lipschitz_bound(params)
         np.testing.assert_array_equal(rep.bound_field, 0.0)
         assert rep.lipschitz == 0.0
+
+    @pytest.mark.parametrize("head", ["metric", "ce"])
+    def test_is_the_absolute_network_gradient(self, dead_units, head):
+        # zero biases and non-negative kernels make the absolute network
+        # the linear map x -> G.x on non-negative inputs, dead units included
+        cfg, params = dead_units
+        g = lipschitz_bound(params, head=head).bound_field
+        view = robustness._absolute_params(params)
+        rng = Rng(28)
+        for _ in range(5):
+            x = rng.uniform(0, 2, (3, 8, 8))
+            out = forward(view, Tensor(x[None]))
+            scalar = out.ce_logits.sum() if head == "ce" else out.embedding.sum()
+            assert float(scalar.data) == pytest.approx(float((g * x).sum()),
+                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("head", ["metric", "ce"])
+    def test_dominates_gradients_with_dead_units(self, dead_units, head):
+        cfg, params = dead_units
+        bound = lipschitz_bound(params, head=head).bound_field
+        rng = Rng(29)
+        for _ in range(5):
+            g = np.abs(input_gradient(params, rng.uniform(0, 1, (3, 8, 8)),
+                                      head=head))
+            assert (g <= bound + 1e-9).all()
 
     @pytest.mark.parametrize("head", ["metric", "ce"])
     def test_dominates_measured_gradients(self, model, head):

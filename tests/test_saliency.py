@@ -32,8 +32,7 @@ class TestBackgroundCentroid:
         emb = rng.normal((4, 3, 3))
         p1 = np.zeros((3, 3))
         p1[0, :] = 0.9  # first row salient
-        part = partition_regions(probs_from_p1(p1))
-        got = background_centroid(emb, part, probs_from_p1(p1))
+        got = background_centroid(emb, probs_from_p1(p1))
         want = emb.reshape(4, -1)[:, 3:].mean(axis=1)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -42,16 +41,14 @@ class TestBackgroundCentroid:
         emb = rng.normal((4, 2, 2))
         p1 = np.full((2, 2), 0.9)
         p1[1, 1] = 0.1
-        part = partition_regions(probs_from_p1(p1))
-        got = background_centroid(emb, part, probs_from_p1(p1))
+        got = background_centroid(emb, probs_from_p1(p1))
         np.testing.assert_allclose(got, emb[:, 1, 1], rtol=1e-12)
 
     def test_empty_background_falls_back_to_whole_domain(self):
         rng = Rng(4)
         emb = rng.normal((2, 2, 2))
         p1 = np.full((2, 2), 0.8)
-        part = partition_regions(probs_from_p1(p1))
-        got = background_centroid(emb, part, probs_from_p1(p1))
+        got = background_centroid(emb, probs_from_p1(p1))
         w = (1 - p1).reshape(-1)
         want = emb.reshape(2, -1) @ (w / w.sum())
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -61,8 +58,7 @@ class TestBackgroundCentroid:
         emb = rng.normal((3, 4, 4))
         p1 = rng.uniform(0, 1, (4, 4))
         p1.reshape(-1)[:3] = 0.2  # guarantee some background
-        part = partition_regions(probs_from_p1(p1))
-        got = background_centroid(emb, part, probs_from_p1(p1))
+        got = background_centroid(emb, probs_from_p1(p1))
         mask = ~(p1 > 0.5)
         w = np.where(mask, 1 - p1, 0.0).reshape(-1)
         want = emb.reshape(3, -1) @ (w / w.sum())
