@@ -159,8 +159,7 @@ def cmd_infer(args) -> int:
     timings = []
     for rec in records:
         start = time.perf_counter()
-        out = forward(view, rec.image[None].astype(np.float32),
-                      mode="inference", update_running=False)
+        out = forward(view, rec.image[None].astype(np.float32))
         maps = saliency_maps(out)
         timings.append((rec.id, time.perf_counter() - start))
         save_gray(os.path.join(args.out, f"{rec.id}_metric.pgm"), maps.metric_map)
@@ -350,8 +349,7 @@ def _gradcheck_battery(rng):
                       embedding_dim=4)
     params = build(cfg, Rng(7))
     checks.append(("model_forward",
-                   lambda x: forward(params, x.reshape(1, 3, 8, 8),
-                                     mode="inference", update_running=False)
+                   lambda x: forward(params, x.reshape(1, 3, 8, 8))
                    .embedding.square().sum(),
                    rng.uniform(0, 1, (1 * 3 * 8 * 8,))))
     return checks
@@ -380,8 +378,7 @@ def cmd_dump_features(args) -> int:
     image = load_image(args.image)
     os.makedirs(args.out, exist_ok=True)
     out = forward(inference_view(ck.params, np.float32),
-                  image[None].astype(np.float32), mode="inference",
-                  update_running=False)
+                  image[None].astype(np.float32))
     emb = out.embedding.data[0]
     named = [(f"scale_{s:02d}", m.data[0, 0]) for s, m in enumerate(out.scale_maps)]
     named += [(f"embedding_{c:02d}", e) for c, e in enumerate(emb)]

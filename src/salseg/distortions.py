@@ -9,6 +9,7 @@ compatibility is not claimed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -53,21 +54,43 @@ class DistortionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        """Reject an unknown kind or a field of the wrong type or out of
+        range, naming the field; the ranges become tuples."""
         if self.kind not in ("awgn", "dct_quant"):
             raise ValueError(f"unknown distortion kind {self.kind!r}")
+        checks = {
+            "sigma": (self.sigma is None or _number(self.sigma) and self.sigma >= 0,
+                      "a non-negative number or null"),
+            "quality": (self.quality is None or _number(self.quality, int)
+                        and 1 <= self.quality <= 100, "an integer in [1, 100] or null"),
+            "sigma_range": (_range(self.sigma_range), "two numbers, low first"),
+            "quality_range": (_range(self.quality_range), "two numbers, low first"),
+            "seed": (_number(self.seed, int), "an integer"),
+        }
+        for name, (ok, want) in checks.items():
+            if not ok:
+                raise ValueError(f"distortion {name} must be {want}, "
+                                 f"got {getattr(self, name)!r}")
+        self.sigma_range = tuple(self.sigma_range)
+        self.quality_range = tuple(self.quality_range)
 
     def to_dict(self):
-        d = asdict(self)
-        d["sigma_range"] = list(self.sigma_range)
-        d["quality_range"] = list(self.quality_range)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["sigma_range"] = tuple(d.get("sigma_range", SIGMA_RANGE))
-        d["quality_range"] = tuple(d.get("quality_range", QUALITY_RANGE))
         return cls(**d)
+
+
+def _number(value, kind=float) -> bool:
+    """A real number (an integer for ``kind=int``) that is not a bool."""
+    want = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, want) and not isinstance(value, bool)
+
+
+def _range(value) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(_number(v) for v in value) and value[0] <= value[1])
 
 
 def awgn(image, sigma: float, rng: Rng) -> np.ndarray:
@@ -116,13 +139,9 @@ def random_strength(spec: DistortionSpec, rng: Rng) -> DistortionSpec:
     """Draw a concrete strength from the spec's randomization range."""
     if spec.kind == "awgn":
         lo, hi = spec.sigma_range
-        if lo > hi:
-            raise ValueError("invalid sigma range")
         return DistortionSpec(kind="awgn", sigma=float(rng.uniform(lo, hi)),
                               sigma_range=spec.sigma_range, seed=spec.seed)
     lo, hi = spec.quality_range
-    if lo > hi:
-        raise ValueError("invalid quality range")
     quality = int(rng.integers(lo, hi + 1))
     return DistortionSpec(kind="dct_quant", quality=quality,
                           quality_range=spec.quality_range, seed=spec.seed)

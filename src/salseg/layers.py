@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, concat
+from .tensor import Tensor
 
 
 @dataclass
@@ -409,6 +409,7 @@ def replicate_upsample(x: Tensor, n: int) -> Tensor:
 
 
 def concat_channels(inputs) -> Tensor:
+    """Stack (N, C_i, H, W) tensors along the channel axis."""
     inputs = list(inputs)
     if not inputs:
         raise ValueError("concat_channels of empty list")
@@ -417,4 +418,10 @@ def concat_channels(inputs) -> Tensor:
     for t in inputs:
         if t.data.shape[2:] != hw or t.data.shape[0] != nb:
             raise ValueError("concat_channels inputs must share N, H, W")
-    return concat(inputs, axis=1)
+    out = np.concatenate([t.data for t in inputs], axis=1)
+    bounds = np.cumsum([0] + [t.data.shape[1] for t in inputs])
+
+    def bwd(g):
+        return tuple(g[:, lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+    return Tensor._make(out, tuple(inputs), bwd)

@@ -106,27 +106,38 @@ def _frozen_centroid(out, image_index=0):
 
 
 def _scalarize(out, head, centroid=None):
-    """Scalar summary of a single-image ForwardOutput as a Tensor.
+    """The probe scalar of a single-image ForwardOutput as one recorded op.
 
-    ``metric``: sum of per-pixel embedding distances to the (frozen)
-    background centroid.  ``ce``: sum of the salient-class probabilities.
-    """
+    ``metric``: Σ_p √(‖e_p − c‖² + ε) over the embedding e and the frozen
+    background centroid c, gradient (e_p − c) / √(‖e_p − c‖² + ε).
+    ``ce``: Σ p₁ over the salient-class probabilities, gradient 1 on
+    channel 1."""
     if head == "ce":
-        pick = np.zeros((1, 2, 1, 1))
-        pick[0, 1] = 1.0
-        return (out.ce_probs * pick).sum()
+        probs = out.ce_probs.data
+
+        def ce_bwd(g):
+            grad = np.zeros_like(probs)
+            grad[:, 1] = g
+            return (grad,)
+
+        return Tensor._make(probs[:, 1].sum(), (out.ce_probs,), ce_bwd)
     if centroid is None:
         centroid = _frozen_centroid(out)
-    c = centroid.reshape(1, -1, 1, 1).astype(out.embedding.data.dtype)
-    diff = out.embedding - c
+    emb = out.embedding.data
+    diff = emb - centroid.reshape(1, -1, 1, 1).astype(emb.dtype)
     # the epsilon keeps the gradient finite where a pixel sits exactly on
     # the centroid; the per-channel derivative stays bounded by 1
-    return ((diff.square().sum(axis=1) + _NORM_EPS).sqrt()).sum()
+    dist = np.sqrt((diff * diff).sum(axis=1) + _NORM_EPS)
+
+    def metric_bwd(g):
+        return (2.0 * diff * (g * (0.5 / dist))[:, None],)
+
+    return Tensor._make(dist.sum(), (out.embedding,), metric_bwd)
 
 
 def _probe_forward(view: ModelParams, image):
     """Inference forward of one (C, H, W) image through an inference view."""
-    return forward(view, Tensor(image[None]), mode="inference", update_running=False)
+    return forward(view, Tensor(image[None]))
 
 
 def _probe_scalar(view: ModelParams, image, head, centroid) -> float:
@@ -150,7 +161,7 @@ def input_gradient(params: ModelParams, image, head="metric") -> np.ndarray:
     pass."""
     check_head(head)
     x = Tensor(np.asarray(image, dtype=np.float64)[None], requires_grad=True)
-    out = forward(params, x, mode="inference", update_running=False)
+    out = forward(params, x)
     _scalarize(out, head).backward(np.ones(()))
     return x.grad[0]
 
@@ -234,8 +245,7 @@ def lipschitz_bound(params: ModelParams, norm="l2", head="metric") -> BoundRepor
     cfg = params.config
     x = Tensor(np.ones((1, cfg.in_channels, cfg.input_size, cfg.input_size)),
                requires_grad=True)
-    out = forward(_absolute_params(params), x, mode="inference",
-                  update_running=False)
+    out = forward(_absolute_params(params), x)
     scalar = out.ce_logits.sum() if head == "ce" else out.embedding.sum()
     scalar.backward(np.ones(()))
     g = x.grad[0]

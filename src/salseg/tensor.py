@@ -5,6 +5,10 @@ single backward pass over the recorded graph yields gradients for all inputs
 that asked for them.  Arrays are plain numpy; float32 is the training dtype,
 float64 the verification dtype.
 
+The core records ``+`` and ``*`` (both broadcasting), ``square``, ``sum``
+and ``reshape``.  The layers, the training losses and the robustness probe
+scalar each record one op with a closed-form backward via ``Tensor._make``.
+
 A Python scalar meeting a tensor takes the tensor's dtype (NumPy's weak-scalar
 rule), so a float32 graph stays float32 forward and backward, from the loss
 down to every parameter gradient, while a float64 graph stays float64.
@@ -145,18 +149,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _coerce(other, self)
-        out = self.data - other.data
-
-        def bwd(g):
-            return _unbroadcast(g, self.data.shape), _unbroadcast(-g, other.data.shape)
-
-        return Tensor._make(out, (self, other), bwd)
-
-    def __rsub__(self, other):
-        return _coerce(other, self).__sub__(self)
-
     def __mul__(self, other):
         other = _coerce(other, self)
         out = self.data * other.data
@@ -178,14 +170,6 @@ class Tensor:
 
         return Tensor._make(x * x, (self,), bwd)
 
-    def sqrt(self):
-        out = np.sqrt(self.data)
-
-        def bwd(g):
-            return (g * (0.5 / out),)
-
-        return Tensor._make(out, (self,), bwd)
-
     # -- reductions / reshaping ----------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -193,9 +177,7 @@ class Tensor:
         shape = self.data.shape
 
         def bwd(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, shape).copy(),)
 
@@ -235,21 +217,6 @@ def _unbroadcast(g, shape):
         if ss == 1 and gs != 1:
             g = g.sum(axis=i, keepdims=True)
     return g
-
-
-def concat(tensors, axis=0):
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    if len(tensors) == 0:
-        raise ValueError("concat of zero tensors")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        return tuple(np.take(g, np.arange(bounds[i], bounds[i + 1]), axis=axis)
-                     for i in range(len(tensors)))
-
-    return Tensor._make(out, tuple(tensors), bwd)
 
 
 # -- verification harness ----------------------------------------------------

@@ -171,8 +171,7 @@ def validate(params: ModelParams, dataset):
     view = inference_view(params, np.float32)
     reports = []
     for rec in dataset:
-        out = forward(view, rec.image[None].astype(np.float32),
-                      mode="inference", update_running=False)
+        out = forward(view, rec.image[None].astype(np.float32))
         maps = saliency_maps(out)
         reports.append(evaluate(maps.metric_map, rec.mask))
     return aggregate(reports)

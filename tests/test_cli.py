@@ -235,6 +235,37 @@ class TestExitCodes:
                    "--out", str(tmp_path / "rob")) == 3
         assert "non-finite gradient on sample_00000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec,field", [
+        ({"kind": "awgn", "sigma": "x"}, "sigma"),
+        ({"kind": "awgn", "sigma": True}, "sigma"),
+        ({"kind": "awgn", "sigma": -0.1}, "sigma"),
+        ({"kind": "dct_quant", "quality": "50"}, "quality"),
+        ({"kind": "dct_quant", "quality": 50.5}, "quality"),
+        ({"kind": "dct_quant", "quality": True}, "quality"),
+        ({"kind": "dct_quant", "quality": 0}, "quality"),
+        ({"kind": "awgn", "sigma_range": 0.1}, "sigma_range"),
+        ({"kind": "awgn", "sigma_range": [0.1, "0.2"]}, "sigma_range"),
+        ({"kind": "awgn", "sigma_range": [0.2, 0.1]}, "sigma_range"),
+        ({"kind": "dct_quant", "quality_range": [20]}, "quality_range"),
+        ({"kind": "awgn", "sigma": 0.1, "seed": 1.5}, "seed"),
+        ({"kind": "awgn", "sigma": 0.1, "seed": "4"}, "seed"),
+    ], ids=["sigma-str", "sigma-bool", "sigma-negative", "quality-str",
+            "quality-float", "quality-bool", "quality-zero", "range-number",
+            "range-str", "range-inverted", "range-short", "seed-float",
+            "seed-str"])
+    def test_distort_rejects_bad_spec_before_writing(self, tmp_path, capsys,
+                                                     spec, field):
+        data = tmp_path / "data"
+        assert run("gen-data", "--out", str(data), "--n", "2", "--size", "8") == 0
+        path, out = tmp_path / "spec.json", tmp_path / "noisy"
+        path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert run("distort", "--images", str(data), "--spec", str(path),
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"distortion {field} " in err
+        assert not out.exists()
+
     def test_gradcheck_success(self, capsys):
         assert run("gradcheck") == 0
         out = capsys.readouterr().out

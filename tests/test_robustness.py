@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -400,3 +402,22 @@ class TestScalarizedOutput:
                       update_running=False)
         want = out.ce_probs.data[0, 1].sum()
         assert scalarized_output(params, image, head="ce") == pytest.approx(want)
+
+    @pytest.mark.parametrize("head", ["metric", "ce"])
+    def test_one_op_with_closed_form_gradient(self, model, image, head):
+        cfg, params = model
+        out = forward(params, Tensor(image[None]))
+        emb = Tensor(out.embedding.data, requires_grad=True)
+        probs = Tensor(out.ce_probs.data, requires_grad=True)
+        leaves = replace(out, embedding=emb, ce_probs=probs)
+        scalar = robustness._scalarize(leaves, head)
+        parent = emb if head == "metric" else probs
+        assert len(scalar._parents) == 1 and scalar._parents[0] is parent
+        scalar.backward(np.ones(()))
+        if head == "metric":
+            diff = emb.data - robustness._frozen_centroid(out).reshape(1, -1, 1, 1)
+            want = diff / np.sqrt((diff ** 2).sum(axis=1, keepdims=True) + 1e-12)
+        else:
+            want = np.zeros_like(probs.data)
+            want[:, 1] = 1.0
+        np.testing.assert_allclose(parent.grad, want, rtol=1e-12, atol=0)

@@ -22,8 +22,9 @@ float64, built at seed 7:
   shift of the embedding).  Those are compared with the model's largest
   gradient;
 * the inference forward through ``inference_view``;
-* ``input_gradient`` and ``lipschitz_bound(...).bound_field`` on both heads;
-* a 10-sample ``mc_directional_norm`` estimate on the metric head;
+* on each head: ``input_gradient``, ``lipschitz_bound(...).bound_field``
+  and a 10-sample ``mc_directional_norm`` estimate (which compares the
+  probe scalar's forward value);
 * the checkpoint written after the two steps: its header and size exactly,
   its blobs against the largest value of their kind (parameters, buffers,
   velocities).
@@ -116,9 +117,9 @@ def _battery(out_path):
     for head in ("metric", "ce"):
         saved[f"input_gradient|{head}"] = input_gradient(params, images[0], head=head)
         saved[f"bound_field|{head}"] = lipschitz_bound(params, "l2", head=head).bound_field
-    est = mc_directional_norm(params, images[1], p=2.0, t=1e-4, n_samples=10,
-                              rng=Rng(7), head="metric")
-    saved["mc_estimate|metric"] = np.array(est.estimate)
+        est = mc_directional_norm(params, images[1], p=2.0, t=1e-4, n_samples=10,
+                                  rng=Rng(7), head=head)
+        saved[f"mc_estimate|{head}"] = np.array(est.estimate)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ckpt.ment")
