@@ -115,6 +115,17 @@ def write_run_metadata(out_dir, config, command) -> None:
         json.dump(doc, f, indent=2, sort_keys=True)
 
 
+def _check_image_shape(records, model_cfg, where) -> None:
+    """Raise FormatError (exit 2) naming both shapes when an image of
+    ``records`` is not the (C, H, W) the model takes; the commands call it
+    before they write anything."""
+    want = (model_cfg.in_channels, model_cfg.input_size, model_cfg.input_size)
+    for rec in records:
+        if rec.image.shape != want:
+            raise FormatError(f"{where}: image {rec.id} has shape "
+                              f"{rec.image.shape}, the model takes {want}")
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
@@ -132,15 +143,17 @@ def cmd_train(args) -> int:
     model_cfg = ModelConfig.from_dict(cfg["model"])
     train_cfg = TrainConfig.from_dict(cfg["train"])
     _, train_set = load_dataset(args.data)
+    _check_image_shape(train_set, model_cfg, args.data)
     val_set = None
     if args.val_data:
         _, val_set = load_dataset(args.val_data)
+        _check_image_shape(val_set, model_cfg, args.val_data)
     params = build(model_cfg, Rng(train_cfg.seed))
     write_run_metadata(args.out, cfg, "train")
     _, history, best = train_loop(params, train_cfg, train_set,
                                   val_set=val_set, out_dir=args.out)
-    if not history or not np.isfinite(history[-1][3]):
-        print("training diverged: non-finite loss", file=sys.stderr)
+    if not history:
+        print("training took no step: every batch was degenerate", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"trained {len(history)} iterations; final total loss "
           f"{history[-1][3]:.4f}")
@@ -152,6 +165,7 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     ck = load_checkpoint(args.ckpt)
     _, records = load_dataset(args.images)
+    _check_image_shape(records, ck.params.config, args.images)
     cfg = load_config(args.config)
     cfg["model"] = ck.params.config.to_dict()
     write_run_metadata(args.out, cfg, "infer")
@@ -255,6 +269,7 @@ def cmd_robustness(args) -> int:
     check_mc(**mc)
     ck = load_checkpoint(args.ckpt)
     _, records = load_dataset(args.images)
+    _check_image_shape(records, ck.params.config, args.images)
     write_run_metadata(args.out, cfg, "robustness")
 
     grads = [input_gradient(ck.params, rec.image, head=head)

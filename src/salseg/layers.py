@@ -25,6 +25,27 @@ needs no patch matrix at all: it is one batched matmul of the (oc, C)
 kernel with the (N, C, H*W) view of the NCHW input, and its gradients are
 matmuls on the same views.
 
+Two shape rules make the weight gradients fast without changing a bit:
+
+* When the patch matrix is wider than it is tall (N*Ho*Wo > C*kh*kw, the
+  large maps), its weight gradient is the (C*kh*kw, oc) product of the
+  patch matrix with the transposed output gradient, transposed back.
+  OpenBLAS runs this orientation of the skinny product about twice as
+  fast.  On the small maps, where the patch matrix is taller than wide,
+  that form and the copy of its strided result into the parameter's
+  gradient take up to three times as long, so they keep the
+  (oc, C*kh*kw) product.
+* A 1x1 conv on a 1x1 map (the bottleneck) takes its weight gradient as
+  one ``einsum`` over the images in place of N rank-1 matmuls and their
+  sum.  Larger maps keep the batched matmul, which is already one GEMM
+  per image.
+
+Both gave bit-identical results to the forms they replace on every desk
+shape, so desk training is unchanged bit for bit.  Together they took a
+desk training step (64x64, base 4, batch 5) from 38.7 to 36.5 ms, the
+medians of 400 interleaved pairs of steps in one process on a 2-vCPU
+host.
+
 A conv gathers its taps on one of two sides:
 
 * Input side (im2col): the forward multiplies the input's patch matrix,
@@ -131,8 +152,13 @@ def _conv_bwd_w(cols, gy, w_shape):
     """Gradient of the correlation w.r.t. its kernel of shape ``w_shape``
     (oc, C, kh, kw), given the patch matrix of its input: one GEMM of the
     (oc, N*Ho*Wo) output gradient with the transposed patch matrix, whose
-    rows are already in kernel order."""
-    return (_rows(gy) @ cols.T).reshape(w_shape)
+    rows are already in kernel order.  When the patch matrix is wider than
+    it is tall, the GEMM runs as the (C*kh*kw, oc) product and is
+    transposed back (see the module docstring)."""
+    rows = _rows(gy)
+    if cols.shape[1] > cols.shape[0]:
+        return (cols @ rows.T).T.reshape(w_shape)
+    return (rows @ cols.T).reshape(w_shape)
 
 
 def _conv_bwd_data(gy, w, stride, pad, in_hw):
@@ -231,7 +257,7 @@ def _pointwise_op(x, w, b):
     b): one batched matmul of the (oc, C) kernel with the (N, C, H*W) view
     of the input, so there is no patch matrix and no transpose.  The
     backward is gx = w^T @ g per image and gw = sum over images of
-    g @ x^T."""
+    g @ x^T; on a 1x1 map that sum of outer products is one ``einsum``."""
     n, c, h, wd = x.data.shape
     oc = w.data.shape[0]
     wmat = w.data.reshape(oc, c)
@@ -242,8 +268,15 @@ def _pointwise_op(x, w, b):
     def bwd(g):
         g3 = g.reshape(n, oc, h * wd)
         gx = (wmat.T @ g3).reshape(x.data.shape) if x.requires_grad else None
-        gw = ((g3 @ x3.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
-              if w.requires_grad else None)
+        gw = None
+        if w.requires_grad:
+            if h * wd == 1:
+                # N rank-1 matmuls are slow; the einsum sums the same
+                # products in the same order
+                gw = np.einsum("no,nc->oc", g.reshape(n, oc), x.data.reshape(n, c))
+            else:
+                gw = (g3 @ x3.transpose(0, 2, 1)).sum(axis=0)
+            gw = gw.reshape(w.data.shape)
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         return gx, gw, gb
 

@@ -191,6 +191,9 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
     header when the loop starts and each row as its step ends, so an
     interrupted run keeps the rows of its finished steps; a resumed run
     keeps the rows before ``start_iteration`` and appends after them.
+    A step whose network output, total loss or pre-clip gradient norm is
+    not finite raises FloatingPointError before the weights move, so the
+    CSV and every checkpoint hold only finite values.
     """
     if not train_set:
         raise ValueError("empty training set")
@@ -231,6 +234,9 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
             batch.append(rec)
         images = np.stack([r.image for r in batch]).astype(np.float32)
         out = forward(params, images, mode="train")
+        if not np.isfinite(out.ce_probs.data).all():
+            # caught here, before the hard-negative mining chokes on NaNs
+            raise _diverged(it, "the network output is not finite")
 
         labels = np.stack([r.mask for r in batch])
         samples = []
@@ -252,6 +258,8 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
             lv = combined_loss(out.embedding, out.ce_probs, labels, samples,
                                lam=step_config.lam)
             total, ce, ml = lv.total, lv.l_ce, lv.l_ml_star
+        if not np.isfinite(total.data):
+            raise _diverged(it, f"total loss is {float(total.data)}")
         named = params.named_parameters()
         for _, p in named:
             p.zero_grad()  # backward accumulates: drop leftovers of other passes
@@ -262,8 +270,10 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
             if p.grad is not None:
                 grads[name] = p.grad
             p.zero_grad()
-        if step_config.clip_norm is not None:
-            clip_gradients(grads, step_config.clip_norm)
+        # with no clip_norm this only takes the norm, to check it
+        norm = clip_gradients(grads, step_config.clip_norm or np.inf)
+        if not np.isfinite(norm):
+            raise _diverged(it, f"gradient norm is {norm}")
         sgd_step(params, grads, optim_state, step_config)
         history.append((it, ce, ml, float(total.data)))
         if loss_csv:
@@ -284,6 +294,10 @@ def train_loop(params: ModelParams, config: TrainConfig, train_set,
                     _replace_atomically(best_path,
                                         lambda tmp: shutil.copyfile(path, tmp))
     return optim_state, history, best
+
+
+def _diverged(it, what) -> FloatingPointError:
+    return FloatingPointError(f"iteration {it}: {what}; training diverged")
 
 
 def _write_csv_rows(path, rows, mode) -> None:

@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+from salseg import tensor
 from salseg.cli import main, load_config, UsageError
 from salseg.data import load_dataset, load_gray
 
@@ -265,6 +267,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"distortion {field} " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "train-val", "infer",
+                                         "robustness"])
+    def test_image_shape_mismatch_exits_2_before_writing(
+            self, tmp_path, capsys, tiny_config, probe_inputs, command):
+        ckpt, small = probe_inputs  # an 8x8 model and 8x8 images
+        big = tmp_path / "big"
+        assert run("gen-data", "--out", str(big), "--n", "2", "--size", "16") == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "train": ["train", "--config", tiny_config, "--data", str(big)],
+            "train-val": ["train", "--config", tiny_config, "--data", str(small),
+                          "--val-data", str(big)],
+            "infer": ["infer", "--ckpt", str(ckpt), "--images", str(big)],
+            "robustness": ["robustness", "--ckpt", str(ckpt), "--images",
+                           str(big)],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "(3, 16, 16)" in err and "(3, 8, 8)" in err
+        assert list(out.iterdir()) == []
+
+    def test_diverged_training_exits_3(self, tmp_path, capsys):
+        tensor.set_finite_checks(False)  # train_loop's own checks, as the CLI runs
+        data, out, cfg = tmp_path / "data", tmp_path / "run", tmp_path / "c.json"
+        assert run("gen-data", "--out", str(data), "--n", "6", "--size", "16") == 0
+        cfg.write_text(json.dumps({
+            "model": {"input_size": 16, "base_channels": 2,
+                      "convs_per_block": 1, "embedding_dim": 4},
+            "train": {"iterations": 6, "batch_size": 2, "learning_rate": 1e12,
+                      "checkpoint_interval": 1, "seed": 1}}))
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = run("train", "--config", str(cfg), "--data", str(data),
+                       "--out", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: iteration " in err and "training diverged" in err
+        rows = list(csv.reader((out / "loss.csv").read_text().splitlines()))[1:]
+        assert rows and np.isfinite(np.array(rows, dtype=float)).all()
+        assert len(list(out.glob("ckpt_*.ment"))) == len(rows)
 
     def test_gradcheck_success(self, capsys):
         assert run("gradcheck") == 0

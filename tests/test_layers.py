@@ -323,6 +323,14 @@ class TestConvProperties:
              dtype=np.float64, seed=10)
     @example(n=1, cin=16, cout=8, h=2, w=2, k=3, stride=1, transposed=False,
              dtype=np.float64, seed=11)
+    # 1x1 convs: a 1x1 map at the desk batch (the bottleneck, whose weight
+    # gradient is one einsum) and one image with H*W > 1
+    @example(n=5, cin=8, cout=4, h=1, w=1, k=1, stride=1, transposed=False,
+             dtype=np.float32, seed=12)
+    @example(n=5, cin=8, cout=4, h=1, w=1, k=1, stride=1, transposed=False,
+             dtype=np.float64, seed=13)
+    @example(n=1, cin=3, cout=2, h=4, w=5, k=1, stride=1, transposed=False,
+             dtype=np.float64, seed=14)
     @example(n=3, cin=4, cout=2, h=1, w=1, k=2, stride=2, transposed=True,
              dtype=np.float64, seed=6)
     @example(n=2, cin=3, cout=4, h=1, w=1, k=2, stride=2, transposed=True,
@@ -598,6 +606,26 @@ class TestReplicateUpsample:
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         replicate_upsample(x, 3).sum().backward()
         np.testing.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 9.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor,shape", [(2, (2, 3, 3, 4)),
+                                              (64, (5, 2, 1, 1))])
+    def test_backward_matches_block_sum_oracle(self, factor, shape, dtype):
+        rng = Rng(factor)
+        x = Tensor(rng.normal(shape, dtype=dtype), requires_grad=True)
+        g = rng.normal((shape[0], shape[1], shape[2] * factor,
+                        shape[3] * factor), dtype=dtype)
+        replicate_upsample(x, factor).backward(g)
+        want = np.zeros(shape)
+        for i in range(shape[2]):
+            for j in range(shape[3]):
+                block = g[:, :, i * factor:(i + 1) * factor,
+                          j * factor:(j + 1) * factor].astype(np.float64)
+                want[:, :, i, j] = block.sum(axis=(2, 3))
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        assert x.grad.dtype == dtype
+        np.testing.assert_allclose(x.grad, want, rtol=0,
+                                   atol=tol * factor * factor)
 
     def test_upsample_then_block_average_is_identity(self):
         x = Rng(18).normal((2, 3, 4, 4))

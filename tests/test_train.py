@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from salseg import train
+from salseg import tensor, train
 from salseg.tensor import Tensor, Rng
 from salseg.model import ModelConfig, build, forward
 from salseg.data import generate_synthetic
@@ -365,6 +365,34 @@ class TestTrainLoop:
         assert best.f_beta == 0.9
         assert (tmp_path / "best.ment").read_bytes() == ckpt2
         assert load_checkpoint(tmp_path / "best.ment").iteration == 2
+
+    @pytest.mark.parametrize("lr,clip_norm,what", [
+        (1e12, None, "total loss is"),
+        (1e12, 1.0, "gradient norm is"),
+        (1e6, None, "the network output is not finite"),
+    ], ids=["loss", "grad-norm", "output"])
+    def test_divergence_stops_before_the_step(self, tmp_path, monkeypatch,
+                                              lr, clip_norm, what):
+        cfg, params, tc, data = tiny_setup(learning_rate=lr,
+                                           clip_norm=clip_norm)
+        tc = replace(tc, iterations=8, checkpoint_interval=1)
+        tensor.set_finite_checks(False)  # train_loop's own checks, as the CLI runs
+        steps = []
+        real_step = train.sgd_step
+        monkeypatch.setattr(train, "sgd_step",
+                            lambda *a: (steps.append(None), real_step(*a)))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            train_loop(params, tc, data, out_dir=tmp_path, log=lambda m: None)
+        assert 0 < len(steps) < 8
+        assert str(exc.value).startswith(f"iteration {len(steps)}: {what}")
+        rows = list(csv.reader((tmp_path / "loss.csv").read_text().splitlines()))[1:]
+        assert [int(r[0]) for r in rows] == list(range(len(steps)))
+        assert np.isfinite(np.array(rows, dtype=float)).all()
+        for i in range(1, len(steps) + 1):
+            ck = load_checkpoint(tmp_path / f"ckpt_{i:07d}.ment")
+            for _, p in ck.params.named_parameters():
+                assert np.isfinite(p.data).all()
+        assert not (tmp_path / f"ckpt_{len(steps) + 1:07d}.ment").exists()
 
     def test_resume_without_optimizer_state_refused(self):
         cfg, params, tc, data = tiny_setup(seed=7)
