@@ -23,7 +23,7 @@ from . import __version__
 from .tensor import Tensor, Rng, finite_diff_check
 from .layers import (ConvParams, BatchNormParams, conv2d, deconv2d, batch_norm,
                      softmax2, replicate_upsample)
-from .model import ModelConfig, build, forward, inference_view
+from .model import IN_CHANNELS, ModelConfig, build, forward, inference_view
 from .losses import (SampleSet, cross_entropy, metric_loss_centroid,
                      combined_loss)
 from .saliency import saliency_maps
@@ -32,11 +32,11 @@ from .metrics import (evaluate, aggregate, quantize_8bit, pr_counts,
 from .distortions import DistortionSpec, apply as apply_distortion, random_strength
 from .data import (FormatError, generate_synthetic, save_dataset, load_dataset,
                    load_image, save_image, load_gray, save_gray, load_mask,
-                   save_mask)
+                   save_mask, read_json_object)
 from .train import (TrainConfig, CheckpointError, train_loop, save_checkpoint,
                     load_checkpoint)
 from .robustness import (input_gradient, jacobian_stats, mc_directional_norm,
-                         lipschitz_bound, check_head, check_norm, check_mc)
+                         lipschitz_bound, check_head, check_mc)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,7 +48,7 @@ _SECTION_DEFAULTS = {
     "train": TrainConfig().to_dict(),
     "data": {"seed": 0},
     "eval": {"map": "metric"},
-    "robustness": {"head": "metric", "norm": "l2",
+    "robustness": {"head": "metric",
                    "mc": {"p": 2.0, "t": 1e-4, "n_samples": 100}},
 }
 
@@ -94,13 +94,7 @@ def load_config(path=None) -> dict:
     merged = json.loads(json.dumps(_SECTION_DEFAULTS))  # deep copy
     if path is None:
         return merged
-    try:
-        with open(path) as f:
-            user = json.load(f)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: invalid JSON ({e})")
-    if not isinstance(user, dict):
-        raise FormatError(f"{path}: config must be a JSON object")
+    user = read_json_object(path, "config")
     for section, value in user.items():
         if section not in merged:
             raise UsageError(f"{path}: unknown config section {section!r}")
@@ -109,31 +103,37 @@ def load_config(path=None) -> dict:
 
 
 def write_run_metadata(out_dir, config, command) -> None:
+    """``run.json``: the version, the command and the effective config, or
+    null for ``gen-data``, whose settings are its flags (in the manifest)."""
     os.makedirs(out_dir, exist_ok=True)
     doc = {"version": __version__, "command": command, "config": config}
     with open(os.path.join(out_dir, "run.json"), "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
 
 
-def _check_image_shape(records, model_cfg, where) -> None:
-    """Raise FormatError (exit 2) naming both shapes when an image of
-    ``records`` is not the (C, H, W) the model takes; the commands call it
+def _check_image_shape(image, model_cfg, what) -> None:
+    """Raise FormatError (exit 2) naming both shapes when ``image`` (named
+    ``what``) is not the (C, H, W) the model takes; the commands call it
     before they write anything."""
-    want = (model_cfg.in_channels, model_cfg.input_size, model_cfg.input_size)
+    want = (IN_CHANNELS, model_cfg.input_size, model_cfg.input_size)
+    if image.shape != want:
+        raise FormatError(f"{what} has shape {image.shape}, the model takes {want}")
+
+
+def _load_images(path, model_cfg):
+    """The records of the dataset at ``path``, each checked by the rule above."""
+    _, records = load_dataset(path)
     for rec in records:
-        if rec.image.shape != want:
-            raise FormatError(f"{where}: image {rec.id} has shape "
-                              f"{rec.image.shape}, the model takes {want}")
+        _check_image_shape(rec.image, model_cfg, f"{path}: image {rec.id}")
+    return records
 
 
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config)  # a bad config writes nothing
-    cfg["data"]["seed"] = args.seed
     records = generate_synthetic(args.n, args.size, Rng(args.seed))
     save_dataset(records, args.out, args.split, seed=args.seed, size=args.size)
-    write_run_metadata(args.out, cfg, "gen-data")
+    write_run_metadata(args.out, None, "gen-data")
     print(f"wrote {len(records)} samples to {args.out}")
     return EXIT_OK
 
@@ -142,12 +142,8 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     model_cfg = ModelConfig.from_dict(cfg["model"])
     train_cfg = TrainConfig.from_dict(cfg["train"])
-    _, train_set = load_dataset(args.data)
-    _check_image_shape(train_set, model_cfg, args.data)
-    val_set = None
-    if args.val_data:
-        _, val_set = load_dataset(args.val_data)
-        _check_image_shape(val_set, model_cfg, args.val_data)
+    train_set = _load_images(args.data, model_cfg)
+    val_set = _load_images(args.val_data, model_cfg) if args.val_data else None
     params = build(model_cfg, Rng(train_cfg.seed))
     write_run_metadata(args.out, cfg, "train")
     _, history, best = train_loop(params, train_cfg, train_set,
@@ -164,11 +160,8 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     ck = load_checkpoint(args.ckpt)
-    _, records = load_dataset(args.images)
-    _check_image_shape(records, ck.params.config, args.images)
-    cfg = load_config(args.config)
-    cfg["model"] = ck.params.config.to_dict()
-    write_run_metadata(args.out, cfg, "infer")
+    records = _load_images(args.images, ck.params.config)
+    write_run_metadata(args.out, {"model": ck.params.config.to_dict()}, "infer")
     view = inference_view(ck.params, np.float32)
     timings = []
     for rec in records:
@@ -228,11 +221,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_distort(args) -> int:
-    with open(args.spec) as f:
-        try:
-            spec = DistortionSpec.from_dict(json.load(f))
-        except (TypeError, json.JSONDecodeError) as e:
-            raise FormatError(f"{args.spec}: bad distortion spec ({e})")
+    spec = DistortionSpec.from_dict(read_json_object(args.spec, "distortion spec"))
     manifest, records = load_dataset(args.images)
     os.makedirs(args.out, exist_ok=True)
     rng = Rng(spec.seed)
@@ -259,17 +248,14 @@ def cmd_robustness(args) -> int:
     cfg = load_config(args.config)
     rcfg = cfg["robustness"]
     head = rcfg["head"]
-    norm = args.bound or rcfg["norm"]
     mc = rcfg["mc"]
     if args.mc:
         mc = {"p": float(args.mc[0]), "t": float(args.mc[1]),
               "n_samples": int(args.mc[2])}
     check_head(head)
-    check_norm(norm)
     check_mc(**mc)
     ck = load_checkpoint(args.ckpt)
-    _, records = load_dataset(args.images)
-    _check_image_shape(records, ck.params.config, args.images)
+    records = _load_images(args.images, ck.params.config)
     write_run_metadata(args.out, cfg, "robustness")
 
     grads = [input_gradient(ck.params, rec.image, head=head)
@@ -279,7 +265,7 @@ def cmd_robustness(args) -> int:
             print(f"non-finite gradient on {rec.id}", file=sys.stderr)
             return EXIT_NUMERIC
     jrep = jacobian_stats(grads)
-    bound = lipschitz_bound(ck.params, norm=norm, head=head)
+    bound = lipschitz_bound(ck.params, head=head)
     estimates = []
     for i, rec in enumerate(records):
         est = mc_directional_norm(ck.params, rec.image, p=mc["p"], t=mc["t"],
@@ -295,7 +281,8 @@ def cmd_robustness(args) -> int:
         json.dump(doc, f, indent=2, sort_keys=True)
     row = " ".join(f"{k}={jrep.summary[k]:.3e}" for k in jrep.columns)
     print(f"jacobian summary: {row}")
-    print(f"lipschitz M ({norm}) = {bound.lipschitz:.4f}")
+    print(f"lipschitz bound: l1={bound.l1:.4e} l2={bound.l2:.4e} "
+          f"linf={bound.linf:.4e}")
     return EXIT_OK
 
 
@@ -391,6 +378,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_dump_features(args) -> int:
     ck = load_checkpoint(args.ckpt)
     image = load_image(args.image)
+    _check_image_shape(image, ck.params.config, args.image)
     os.makedirs(args.out, exist_ok=True)
     out = forward(inference_view(ck.params, np.float32),
                   image[None].astype(np.float32))
@@ -426,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", default="train")
-    p.add_argument("--config")
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model")
@@ -440,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--images", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("eval", help="score saliency maps against ground truth")
@@ -461,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mc", nargs=3, metavar=("P", "T", "N"))
-    p.add_argument("--bound", choices=["l1", "l2", "linf"])
     p.add_argument("--config")
     p.set_defaults(fn=cmd_robustness)
 

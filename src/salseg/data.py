@@ -46,13 +46,7 @@ class DatasetManifest:
     def load(cls, path):
         """Read a manifest; anything but a JSON object with exactly the
         record's keys, and a list of string ids, is a ``FormatError``."""
-        try:
-            with open(path) as f:
-                d = json.load(f)
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise FormatError(f"{path}: invalid JSON ({e})")
-        if not isinstance(d, dict):
-            raise FormatError(f"{path}: manifest must be a JSON object")
+        d = read_json_object(path, "manifest")
         for key in sorted(set(d) ^ {k.name for k in fields(cls)}):
             what = "unknown" if key in d else "missing"
             raise FormatError(f"{path}: {what} manifest key {key!r}")
@@ -62,7 +56,20 @@ class DatasetManifest:
 
 
 class FormatError(ValueError):
-    """Malformed on-disk image, mask or manifest data."""
+    """Malformed on-disk data: an image, mask, manifest, config or spec."""
+
+
+def read_json_object(path, what) -> dict:
+    """The JSON object in the file ``path``; a ``FormatError`` when the file
+    is not valid JSON or holds anything else (``what`` names the object)."""
+    try:
+        with open(path) as f:
+            d = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"{path}: invalid JSON ({e})")
+    if not isinstance(d, dict):
+        raise FormatError(f"{path}: {what} must be a JSON object")
+    return d
 
 
 # -- resizing ------------------------------------------------------------------

@@ -10,7 +10,7 @@ compatibility is not claimed.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -79,6 +79,12 @@ class DistortionSpec:
 
     @classmethod
     def from_dict(cls, d):
+        """The spec of a JSON object; a ValueError names an unknown key or
+        a missing ``kind``."""
+        for key in sorted(set(d) - {f.name for f in fields(cls)}):
+            raise ValueError(f"unknown distortion key {key!r}")
+        if "kind" not in d:
+            raise ValueError("missing distortion key 'kind'")
         return cls(**d)
 
 

@@ -37,11 +37,13 @@ from .tensor import Tensor, Rng
 from .layers import (ConvParams, BatchNormParams, conv2d, deconv2d, batch_norm,
                      relu, softmax2, replicate_upsample, concat_channels)
 
+# every image salseg generates, reads or writes is RGB (PPM P6)
+IN_CHANNELS = 3
+
 
 @dataclass
 class ModelConfig:
     input_size: int = 64
-    in_channels: int = 3
     base_channels: int = 8
     convs_per_block: int = 2
     embedding_dim: int = 16
@@ -174,7 +176,7 @@ def _build(config: ModelConfig, weights, dtype) -> ModelParams:
     levels = config.levels
     p = ModelParams(config=config)
     # (channels, map size) of each scale feature; scale 0 is the raw image
-    feats = [(config.in_channels, config.input_size)]
+    feats = [(IN_CHANNELS, config.input_size)]
 
     def add(role, name, cin, cout, size, bn_name=None, k=3, stride=1,
             transposed=False, join=None, tap=False):
@@ -187,7 +189,7 @@ def _build(config: ModelConfig, weights, dtype) -> ModelParams:
             feats.append((cout, size if transposed else size // stride))
 
     c, m = config.base_channels, config.input_size
-    add("trunk", "input.conv", config.in_channels, c, m, "input.bn")
+    add("trunk", "input.conv", IN_CHANNELS, c, m, "input.bn")
     for b in range(levels):
         for j in range(kconv - 1):
             add("trunk", f"enc{b}.conv{j}", c, c, m, f"enc{b}.bn{j}")
@@ -262,9 +264,9 @@ def forward(params: ModelParams, image: Tensor, mode: str = "inference",
         update_running = mode == "train"
     x = image if isinstance(image, Tensor) else Tensor(image)
     n, c, h, w = x.data.shape
-    if c != cfg.in_channels or h != cfg.input_size or w != cfg.input_size:
+    if c != IN_CHANNELS or h != cfg.input_size or w != cfg.input_size:
         raise ValueError(f"image shape {x.data.shape} does not match config "
-                         f"(N, {cfg.in_channels}, {cfg.input_size}, {cfg.input_size})")
+                         f"(N, {IN_CHANNELS}, {cfg.input_size}, {cfg.input_size})")
 
     def apply(layer, t):
         # the ops are looked up in this module at call time, so wrapping

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .tensor import Tensor, Rng
-from .model import ModelParams, forward, inference_view
+from .model import IN_CHANNELS, ModelParams, forward, inference_view
 from .saliency import background_centroid
 from .distortions import DistortionSpec, apply as apply_distortion
 
@@ -67,8 +67,7 @@ class BoundReport:
     lipschitz: float
 
     def to_dict(self):
-        return {"l1": self.l1, "l2": self.l2, "linf": self.linf,
-                "norm": self.norm, "lipschitz": self.lipschitz}
+        return {"l1": self.l1, "l2": self.l2, "linf": self.linf}
 
 
 @dataclass
@@ -242,9 +241,8 @@ def lipschitz_bound(params: ModelParams, norm="l2", head="metric") -> BoundRepor
     sum (CE head), and the Lipschitz constant M = ‖G‖ in the selected norm."""
     check_head(head)
     check_norm(norm)
-    cfg = params.config
-    x = Tensor(np.ones((1, cfg.in_channels, cfg.input_size, cfg.input_size)),
-               requires_grad=True)
+    size = params.config.input_size
+    x = Tensor(np.ones((1, IN_CHANNELS, size, size)), requires_grad=True)
     out = forward(_absolute_params(params), x)
     scalar = out.ce_logits.sum() if head == "ce" else out.embedding.sum()
     scalar.backward(np.ones(()))

@@ -21,7 +21,6 @@ class RegionPartition:
 @dataclass
 class SaliencyMaps:
     metric_map: np.ndarray    # (H, W) in [0, 1]
-    metric_raw: np.ndarray    # (H, W), unnormalized distances
     ce_prob_map: np.ndarray   # (H, W), P(salient)
     binary_map: np.ndarray    # (H, W) bool, adaptive-threshold binarization
 
@@ -74,8 +73,7 @@ def saliency_maps(forward_out, image_index: int = 0) -> SaliencyMaps:
     probs = forward_out.ce_probs.data[image_index]
     emb = forward_out.embedding.data[image_index]
     centroid = background_centroid(emb, probs)
-    raw, norm = metric_saliency(emb, centroid)
+    _, norm = metric_saliency(emb, centroid)
     t = adaptive_threshold(norm)
-    return SaliencyMaps(metric_map=norm, metric_raw=raw,
-                        ce_prob_map=probs[1].astype(np.float64),
+    return SaliencyMaps(metric_map=norm, ce_prob_map=probs[1].astype(np.float64),
                         binary_map=norm > t)

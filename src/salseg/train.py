@@ -13,10 +13,11 @@ statistics and, optionally, the optimizer's momentum buffers.  Each
 convolution kernel is stored as its live taps only (``model.py``): a 1x1
 kernel for the stride-1 convs at the 1x1 bottleneck, a 2x2 kernel for the
 2x2 -> 1x1 conv and the 1x1 -> 2x2 transposed conv, 3x3 elsewhere and 1x1
-for the heads.  Version 3 dropped the ``mine_metric_loss`` (train) and
-``ce_head_input`` (model) header keys, which only ever held one value.
-Older files are rejected: version 1 held those kernels as full 3x3 arrays,
-and version 2 carries the two dropped keys.
+for the heads.  Version 4 dropped the model's input channel count (every
+image is RGB, ``model.IN_CHANNELS``); version 3 the one-value
+``mine_metric_loss`` (train) and ``ce_head_input`` (model).  Older files
+are rejected: they carry those header keys, and version 1 holds the
+kernels as full 3x3 arrays.
 
 Checkpoints (and ``best.ment``) are written to a temporary file in the same
 directory and then moved into place with ``os.replace``, so an interrupted
@@ -43,7 +44,7 @@ from .metrics import evaluate, aggregate
 from .data import augment
 
 MAGIC = b"MENT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -79,8 +80,8 @@ class TrainConfig:
             raise ValueError("rates must be non-negative")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm needs it)")
-        if self.iterations < 0 or self.checkpoint_interval < 1:
-            raise ValueError("invalid iteration counts")
+        if self.iterations < 1 or self.checkpoint_interval < 1:
+            raise ValueError("iterations and checkpoint_interval must be >= 1")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
         if self.clip_norm is not None and self.clip_norm <= 0:

@@ -295,8 +295,7 @@ class TestJacobianStatisticsSchema:
         rob = tmp_path / "rob"
         ckpt = os.path.join(out_dir, "best.ment")
         rc = cli_main(["robustness", "--ckpt", ckpt, "--images", str(images),
-                       "--out", str(rob), "--mc", "2", "1e-4", "5",
-                       "--bound", "l2"])
+                       "--out", str(rob), "--mc", "2", "1e-4", "5"])
         assert rc == 0
         doc = json.loads((rob / "robustness.json").read_text())
         assert len(doc["jacobian"]["per_image"]) == 5

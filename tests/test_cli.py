@@ -38,7 +38,7 @@ class TestConfig:
     def test_merge_overrides(self, tiny_config):
         cfg = load_config(tiny_config)
         assert cfg["model"]["input_size"] == 8
-        assert cfg["model"]["in_channels"] == 3  # default retained
+        assert cfg["train"]["learning_rate"] == 0.1  # default retained
         assert cfg["train"]["iterations"] == 3
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -107,6 +107,8 @@ class TestConfig:
     @pytest.mark.parametrize("section,key,value", [
         ("train", "mine_metric_loss", True),
         ("model", "ce_head_input", "stack"),
+        ("model", "in_channels", 3),
+        ("robustness", "norm", "l2"),
     ])
     def test_removed_keys_are_usage_errors(self, tmp_path, capsys, section,
                                            key, value):
@@ -157,6 +159,27 @@ class TestExitCodes:
         assert run("infer", "--ckpt", str(ckpt), "--images", str(tmp_path),
                    "--out", str(tmp_path / "o")) == 2
         assert "unsupported format version 1" in capsys.readouterr().err
+
+    def test_version_3_checkpoint_is_data_error(self, tmp_path, capsys):
+        # a version 3 header carries the removed model.in_channels key
+        from salseg.model import ModelConfig, build
+        from salseg.tensor import Rng
+        from salseg.train import save_checkpoint
+        ckpt = tmp_path / "v3.ment"
+        save_checkpoint(ckpt, build(ModelConfig(**TINY["model"]), Rng(0)))
+        raw = ckpt.read_bytes()
+        hlen = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+        header = json.loads(raw[16:16 + hlen])
+        header["model"]["in_channels"] = 3
+        text = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(b"MENT" + np.uint32(3).tobytes()
+                         + np.uint64(len(text)).tobytes() + text
+                         + raw[16 + hlen:])
+        out = tmp_path / "o"
+        assert run("infer", "--ckpt", str(ckpt), "--images", str(tmp_path),
+                   "--out", str(out)) == 2
+        assert "unsupported format version 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gradcheck_takes_no_config(self, tmp_path, capsys):
         assert run("gradcheck", "--config", str(tmp_path / "none.json")) == 1
@@ -222,6 +245,25 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "run.json").exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "infer", "robustness"])
+    def test_removed_flag_is_usage_error_before_writing(
+            self, tmp_path, capsys, tiny_config, probe_inputs, command):
+        ckpt, data = probe_inputs
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["gen-data", "--n", "2", "--size", "8",
+                         "--config", tiny_config],
+            "infer": ["infer", "--ckpt", str(ckpt), "--images", str(data),
+                      "--config", tiny_config],
+            "robustness": ["robustness", "--ckpt", str(ckpt), "--images",
+                           str(data), "--bound", "l2"],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(out)) == 1
+        flag = "--bound" if command == "robustness" else "--config"
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_robustness_checks_gradients_before_probes(self, tmp_path, capsys,
                                                         monkeypatch, probe_inputs):
         ckpt, data = probe_inputs
@@ -268,8 +310,27 @@ class TestExitCodes:
         assert err.startswith("error: ") and f"distortion {field} " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,code,message", [
+        ('{"kind": "awgn", "sigma": 0.1, "bogus": 1}', 1,
+         "error: unknown distortion key 'bogus'"),
+        ('{"sigma": 0.1}', 1, "error: missing distortion key 'kind'"),
+        ('{"kind": "awgn", "sigma": 0.1', 2, "invalid JSON"),
+        ('[{"kind": "awgn", "sigma": 0.1}]', 2, "must be a JSON object"),
+    ], ids=["unknown-key", "missing-kind", "invalid-json", "not-an-object"])
+    def test_distort_spec_keys_checked_as_a_config(self, tmp_path, capsys,
+                                                   text, code, message):
+        data = tmp_path / "data"
+        assert run("gen-data", "--out", str(data), "--n", "2", "--size", "8") == 0
+        path, out = tmp_path / "spec.json", tmp_path / "noisy"
+        path.write_text(text)
+        capsys.readouterr()
+        assert run("distort", "--images", str(data), "--spec", str(path),
+                   "--out", str(out)) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "train-val", "infer",
-                                         "robustness"])
+                                         "robustness", "dump-features"])
     def test_image_shape_mismatch_exits_2_before_writing(
             self, tmp_path, capsys, tiny_config, probe_inputs, command):
         ckpt, small = probe_inputs  # an 8x8 model and 8x8 images
@@ -284,11 +345,26 @@ class TestExitCodes:
             "infer": ["infer", "--ckpt", str(ckpt), "--images", str(big)],
             "robustness": ["robustness", "--ckpt", str(ckpt), "--images",
                            str(big)],
+            "dump-features": ["dump-features", "--ckpt", str(ckpt), "--image",
+                              str(big / "sample_00000.ppm")],
         }[command]
         capsys.readouterr()
         assert run(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "(3, 16, 16)" in err and "(3, 8, 8)" in err
+        assert list(out.iterdir()) == []
+
+    def test_zero_iterations_is_usage_error_before_writing(self, tmp_path,
+                                                           capsys):
+        data, out, cfg = tmp_path / "data", tmp_path / "run", tmp_path / "c.json"
+        assert run("gen-data", "--out", str(data), "--n", "2", "--size", "8") == 0
+        cfg.write_text(json.dumps({**TINY, "train": {**TINY["train"],
+                                                     "iterations": 0}}))
+        out.mkdir()
+        capsys.readouterr()
+        assert run("train", "--config", str(cfg), "--data", str(data),
+                   "--out", str(out)) == 1
+        assert "iterations" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_diverged_training_exits_3(self, tmp_path, capsys):
@@ -335,12 +411,14 @@ class TestGenData:
         assert len(recs) == 3
 
     def test_bad_config_writes_nothing(self, tmp_path, capsys):
+        # gen-data takes no config: its settings are its flags
         cfg, out = tmp_path / "c.json", tmp_path / "out"
-        cfg.write_text(json.dumps({"train": {"lr": 1}}))
+        cfg.write_text(json.dumps({"data": {"seed": 1}}))
         assert run("gen-data", "--out", str(out), "--n", "2", "--size", "8",
                    "--config", str(cfg)) == 1
-        assert "unknown key 'lr'" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --config" in err
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -392,12 +470,15 @@ class TestPipeline:
 
         rob = tmp_path / "rob"
         assert run("robustness", "--ckpt", ckpt, "--images", str(val),
-                   "--out", str(rob), "--mc", "2", "1e-4", "10",
-                   "--bound", "l2") == 0
+                   "--out", str(rob), "--mc", "2", "1e-4", "10") == 0
         rdoc = json.loads((rob / "robustness.json").read_text())
         for col in ("max", "min", "median", "mean", "var"):
             assert col in rdoc["jacobian"]["summary"]
-        assert rdoc["bound"]["lipschitz"] == rdoc["bound"]["l2"]
+        assert sorted(rdoc["bound"]) == ["l1", "l2", "linf"]
+        assert rdoc["bound"]["l1"] >= rdoc["bound"]["l2"] >= rdoc["bound"]["linf"]
+        printed = capsys.readouterr().out
+        for name in ("l1", "l2", "linf"):
+            assert f" {name}={rdoc['bound'][name]:.4e}" in printed
         assert len(rdoc["mc"]["per_image"]) == 2
 
         feats = tmp_path / "feats"

@@ -61,6 +61,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(loss="dice")
 
+    def test_at_least_one_iteration(self):
+        with pytest.raises(ValueError, match="iterations"):
+            TrainConfig(iterations=0)
+        assert TrainConfig(iterations=1).iterations == 1
+
+    def test_resume_at_the_last_iteration_takes_no_step(self):
+        cfg, params, tc, data = tiny_setup(seed=3)
+        state, history, best = train_loop(params, tc, data, log=lambda m: None)
+        before = [p.data.copy() for _, p in params.named_parameters()]
+        _, history, best = train_loop(params, tc, data,
+                                      start_iteration=tc.iterations,
+                                      optim_state=state, log=lambda m: None)
+        assert history == [] and best is None
+        for (_, p), b in zip(params.named_parameters(), before):
+            np.testing.assert_array_equal(p.data, b)
+
     def test_dict_round_trip(self):
         tc = TrainConfig(iterations=7, loss="ce", lam=0.5)
         assert TrainConfig.from_dict(tc.to_dict()) == tc
@@ -508,8 +524,7 @@ class TestCheckpoint:
         save_checkpoint(p, params, train_config=tc)
         header, _ = split_checkpoint(p.read_bytes())
         assert sorted(header["model"]) == [
-            "base_channels", "convs_per_block", "embedding_dim",
-            "in_channels", "input_size"]
+            "base_channels", "convs_per_block", "embedding_dim", "input_size"]
         assert sorted(header["train"]) == [
             "augment", "batch_size", "checkpoint_interval", "clip_norm",
             "iterations", "lam", "learning_rate", "loss", "momentum", "seed",
@@ -565,6 +580,19 @@ class TestCheckpoint:
         raw[4:8] = np.uint32(2).tobytes()
         p.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="unsupported format version 2"):
+            load_checkpoint(p)
+
+    def test_version_3_rejected(self, tmp_path):
+        # version 3 headers carry the removed model key in_channels
+        cfg, params, tc, _ = tiny_setup()
+        p = tmp_path / "v3.ment"
+        save_checkpoint(p, params, train_config=tc)
+        header, payload = split_checkpoint(p.read_bytes())
+        header["model"]["in_channels"] = 3
+        raw = bytearray(join_checkpoint(header, payload))
+        raw[4:8] = np.uint32(3).tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="unsupported format version 3"):
             load_checkpoint(p)
 
     def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path,
