@@ -273,7 +273,12 @@ class Rng:
     def normal(self, shape=(), mean=0.0, std=1.0, dtype=np.float64):
         if std < 0:
             raise ValueError("std must be non-negative")
-        return (mean + std * self._gen.standard_normal(shape)).astype(dtype)
+        # scaled and shifted in place, then cast without a copy when the
+        # dtype is already float64: the same values as mean + std * z
+        z = self._gen.standard_normal(shape)
+        z *= std
+        z += mean
+        return z.astype(dtype, copy=False)
 
     def uniform(self, lo=0.0, hi=1.0, shape=()):
         return self._gen.uniform(lo, hi, shape)

@@ -9,6 +9,7 @@ from salseg import layers
 from salseg.layers import (ConvParams, BatchNormParams, conv2d, deconv2d,
                            batch_norm, relu, softmax2, replicate_upsample,
                            concat_channels)
+from salseg.model import ModelConfig, build, forward
 
 
 def conv_oracle(x, w, b, stride, pad):
@@ -291,8 +292,9 @@ class TestConvProperties:
     gradient through <f(x), y> == <x, f^T(y)>, and the weight gradient
     through <f_dw(x), y> == <dw, grad_w> (f is linear in x and in w).  A 2x2
     kernel (padding 0) and the transposed conv are stride 2 only.  Stride-1
-    convs that narrow the channels enough take the output-side path; the
-    examples pin both sides of that rule."""
+    convs that narrow the channels enough take the output-side path, and
+    short tap rows (Wo <= 4) are gathered; the examples pin both sides of
+    each rule."""
 
     @given(n=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 4),
            h=st.integers(1, 32), w=st.integers(1, 32),
@@ -335,6 +337,23 @@ class TestConvProperties:
              dtype=np.float64, seed=6)
     @example(n=2, cin=3, cout=4, h=1, w=1, k=2, stride=2, transposed=True,
              dtype=np.float32, seed=7)
+    # either side of the gathered-taps rule (Wo <= 4 on the small side)
+    @example(n=1, cin=4, cout=3, h=4, w=4, k=3, stride=1, transposed=False,
+             dtype=np.float64, seed=15)
+    @example(n=5, cin=4, cout=3, h=5, w=5, k=3, stride=1, transposed=False,
+             dtype=np.float32, seed=16)
+    @example(n=5, cin=4, cout=1, h=4, w=4, k=3, stride=1, transposed=False,
+             dtype=np.float32, seed=17)
+    @example(n=5, cin=3, cout=4, h=8, w=8, k=3, stride=2, transposed=False,
+             dtype=np.float32, seed=18)
+    @example(n=1, cin=3, cout=4, h=10, w=10, k=3, stride=2, transposed=False,
+             dtype=np.float64, seed=19)
+    @example(n=1, cin=4, cout=3, h=4, w=4, k=3, stride=2, transposed=True,
+             dtype=np.float64, seed=20)
+    @example(n=5, cin=4, cout=3, h=2, w=2, k=3, stride=2, transposed=True,
+             dtype=np.float32, seed=21)
+    @example(n=5, cin=4, cout=3, h=5, w=5, k=3, stride=2, transposed=True,
+             dtype=np.float32, seed=22)
     def test_matches_oracle(self, n, cin, cout, h, w, k, stride, transposed,
                             dtype, seed):
         if k == 2 or transposed:
@@ -372,6 +391,176 @@ class TestConvProperties:
         lhs = (oracle(x64, dw, np.zeros(cout), stride, pad) * gy64).sum()
         rhs = (dw * p.weight.grad).sum()
         assert abs(lhs - rhs) <= tol * np.abs(dw).sum() * norms
+
+
+def patches_by_slices(x, kh, kw, stride, pad):
+    """The patch matrix built one strided slice copy per tap: the loop
+    ``layers._patches`` runs on long tap rows."""
+    n, c, h, wd = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    xp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + wd] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i:i + stride * (ho - 1) + 1:stride,
+                               j:j + stride * (wo - 1) + 1:stride]
+    return cols.reshape(c * kh * kw, n * ho * wo), (ho, wo)
+
+
+def col2im_by_slices(gy, w, stride, pad, in_hw):
+    """The data gradient with one slice-add per tap: contiguous runs on the
+    padded grid at stride 1, strided slices at stride 2; the loops
+    ``layers._conv_bwd_data`` runs on long tap rows."""
+    n, oc, ho, wo = gy.shape
+    _, ic, kh, kw = w.shape
+    h, wd = in_hw
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    wmat = w.reshape(oc, -1).T
+    if stride == 1:
+        gyp = np.zeros((oc, n, hp, wp), dtype=gy.dtype)
+        gyp[:, :, :ho, :wo] = gy.transpose(1, 0, 2, 3)
+        run = n * hp * wp
+        dcols = (wmat @ gyp.reshape(oc, run)).reshape(ic, kh, kw, run)
+        gxp = np.zeros((ic, run), dtype=dcols.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                off = i * wp + j
+                gxp[:, off:] += dcols[:, i, j, :run - off]
+        gxp = gxp.reshape(ic, n, hp, wp)
+    else:
+        dcols = (wmat @ layers._rows(gy)).reshape(ic, kh, kw, n, ho, wo)
+        gxp = np.zeros((ic, n, hp, wp), dtype=dcols.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i:i + stride * (ho - 1) + 1:stride,
+                    j:j + stride * (wo - 1) + 1:stride] += dcols[:, i, j]
+    return np.ascontiguousarray(
+        gxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
+
+
+def _desk_kernel_calls():
+    """Every ``_patches`` and ``_conv_bwd_data`` call of one forward and
+    backward of the desk model (64x64, base 4): at batch 1 in inference
+    mode and at batch 5 in train mode.  Each is (kernel, batch, arguments
+    with the array replaced by its shape), without repeats."""
+    calls = []
+    real_patches, real_bwd = layers._patches, layers._conv_bwd_data
+
+    def patches(x, kh, kw, stride, pad):
+        calls.append(("patches", x.shape[0], (x.shape, kh, kw, stride, pad)))
+        return real_patches(x, kh, kw, stride, pad)
+
+    def bwd(gy, w, stride, pad, in_hw):
+        calls.append(("col2im", gy.shape[0], (gy.shape, w.shape, stride, pad, in_hw)))
+        return real_bwd(gy, w, stride, pad, in_hw)
+
+    params = build(ModelConfig(input_size=64, base_channels=4), Rng(0))
+    layers._patches, layers._conv_bwd_data = patches, bwd
+    try:
+        for n, mode in ((1, "inference"), (5, "train")):
+            out = forward(params, Tensor(Rng(1).normal((n, 3, 64, 64))), mode=mode)
+            (out.embedding.sum() + out.ce_probs.sum()).backward()
+    finally:
+        layers._patches, layers._conv_bwd_data = real_patches, real_bwd
+    return list(dict.fromkeys(calls))
+
+
+# one shape on each side of ``_short_rows``'s boundary (Wo = 4 and 5), per
+# kernel and stride
+BOUNDARY_CALLS = [
+    ("patches", 1, ((1, 8, 4, 4), 3, 3, 1, 1)),
+    ("patches", 1, ((1, 8, 5, 5), 3, 3, 1, 1)),
+    ("patches", 5, ((5, 8, 8, 8), 3, 3, 2, 1)),
+    ("patches", 5, ((5, 8, 10, 10), 3, 3, 2, 1)),
+    ("col2im", 5, ((5, 8, 4, 4), (8, 6, 3, 3), 1, 1, (4, 4))),
+    ("col2im", 5, ((5, 8, 5, 5), (8, 6, 3, 3), 1, 1, (5, 5))),
+    ("col2im", 1, ((1, 8, 4, 4), (8, 6, 3, 3), 2, 1, (8, 8))),
+    ("col2im", 1, ((1, 8, 5, 5), (8, 6, 3, 3), 2, 1, (10, 10))),
+]
+DESK_CALLS = _desk_kernel_calls()
+KERNEL_CASES = [(kind, args, dtype)
+                for kind, n, args in DESK_CALLS + BOUNDARY_CALLS
+                for dtype in ((np.float32, np.float64) if n == 1 else (np.float32,))]
+
+
+def _with_negative_zeros(a):
+    """``a`` with its smallest entries set to -0.0, as a ReLU's backward
+    leaves them; the kernels carry each sign through."""
+    a[np.abs(a) < 0.2] = -0.0
+    return a
+
+
+class TestGatheredTaps:
+    """On short tap rows the patch matrix and col2im are one gather through
+    a cached index plan; everywhere else the per-tap slice loops run.  Both
+    give the same bytes."""
+
+    @pytest.mark.parametrize(
+        "kind,args,dtype", KERNEL_CASES,
+        ids=[f"{kind}-{args}-{np.dtype(dt).name}".replace(" ", "")
+             for kind, args, dt in KERNEL_CASES])
+    def test_matches_slice_loops_bytewise(self, kind, args, dtype):
+        rng = Rng(23)
+        if kind == "patches":
+            shape, kh, kw, stride, pad = args
+            x = _with_negative_zeros(rng.normal(shape, dtype=dtype))
+            got, want = (layers._patches(x, kh, kw, stride, pad),
+                         patches_by_slices(x, kh, kw, stride, pad))
+            assert got[1] == want[1]
+            got, want = got[0], want[0]
+        else:
+            gy_shape, w_shape, stride, pad, in_hw = args
+            gy = _with_negative_zeros(rng.normal(gy_shape, dtype=dtype))
+            w = _with_negative_zeros(rng.normal(w_shape, dtype=dtype))
+            got, want = (layers._conv_bwd_data(gy, w, stride, pad, in_hw),
+                         col2im_by_slices(gy, w, stride, pad, in_hw))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_boundary_cases_straddle_the_rule(self):
+        assert layers._short_rows(4) and not layers._short_rows(5)
+
+    def test_desk_model_takes_both_paths(self):
+        """The desk shapes above cover the gather and the loops of both
+        kernels."""
+        taken = set()
+        for kind, _, args in DESK_CALLS:
+            if kind == "patches":
+                (_, _, _, wd), _, kw, stride, pad = args
+                wo = (wd + 2 * pad - kw) // stride + 1
+            else:
+                wo = args[0][3]
+            taken.add((kind, layers._short_rows(wo)))
+        assert taken == {("patches", True), ("patches", False),
+                         ("col2im", True), ("col2im", False)}
+
+    def test_plans_are_read_only_and_kept_per_shape(self):
+        rng = Rng(24)
+        w = rng.normal((5, 3, 3, 3))
+        cases = [  # a kernel, then an input shape A and a shape B for it
+            (lambda x: layers._patches(x, 3, 3, 1, 1)[0], (1, 3, 4, 4), (2, 3, 2, 2)),
+            (lambda x: layers._patches(x, 3, 3, 2, 1)[0], (1, 3, 4, 4), (2, 3, 8, 8)),
+            (lambda g: layers._conv_bwd_data(g, w, 1, 1, g.shape[2:]),
+             (1, 5, 4, 4), (2, 5, 2, 2)),
+            (lambda g: layers._conv_bwd_data(g, w, 2, 1, (2 * g.shape[2], 2 * g.shape[3])),
+             (1, 5, 2, 2), (2, 5, 4, 4)),
+        ]
+        for kernel, shape_a, shape_b in cases:
+            a, b = rng.normal(shape_a), rng.normal(shape_b)
+            first = kernel(a).tobytes()
+            kernel(b)
+            assert kernel(a).tobytes() == first
+        for build_plan, args in ((layers._patch_plan, (1, 6, 6, 3, 3, 1, 4, 4)),
+                                 (layers._col2im_plan, (1, 4, 4, 3, 3, 2, 1, 2, 2)),
+                                 (layers._col2im_plan, (2, 4, 4, 3, 3, 1, 1, 4, 4))):
+            plan = build_plan(*args)
+            assert build_plan(*args) is plan
+            assert not plan.flags.writeable
+            with pytest.raises(ValueError):
+                plan.flat[0] = 0
 
 
 def batch_norm_oracle(x, g, gamma, beta, rm, rv, eps, mode):

@@ -138,6 +138,16 @@ class TestRng:
         assert abs(s.mean() - 1.5) < 0.02
         assert abs(s.std() - 0.7) / 0.7 < 0.02
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_normal_equals_scaled_shifted_draw_bytewise(self, dtype):
+        """The in-place scale, shift and cast give the bytes of
+        ``(mean + std * z).astype(dtype)`` on the same draw."""
+        z = np.random.Generator(np.random.Philox(
+            key=np.array([31, 2], dtype=np.uint64))).standard_normal((7, 5, 3))
+        want = (0.25 + 1.7 * z).astype(dtype)
+        got = Rng(31, stream=2).normal((7, 5, 3), mean=0.25, std=1.7, dtype=dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_sphere_sample_unit_norm(self):
         for d in (1, 2, 17, 1000):
             v = Rng(8).uniform_sphere(d)

@@ -1,4 +1,4 @@
-"""Float64 equivalence battery: this working tree against a committed tree.
+"""Equivalence battery: this working tree against a committed tree.
 
     python tools/equivalence.py --against <commit>
 
@@ -10,8 +10,8 @@ over the reference scale and the named tolerance, and it exits 1 when any
 quantity breaches its tolerance (2 when the commit cannot be archived or a
 run imports salseg from somewhere other than its tree).
 
-The battery is the desk model (64x64, base 4, two convs per block) in
-float64, built at seed 7:
+The battery is the desk model (64x64, base 4, two convs per block), in
+float64 built at seed 7:
 
 * two ``train_loop`` iterations (batch 5, combined loss, clip 1.0): the
   train-mode outputs, every parameter gradient before the clip, and the
@@ -29,7 +29,16 @@ float64, built at seed 7:
   its blobs against the largest value of their kind (parameters, buffers,
   velocities).
 
-The battery needs about ten seconds per tree.  It is not part of the test
+and in float32, the dtype of training and ``infer``, built at seed 7 and
+compared bit for bit (tolerance 0; a one-ulp reorder of float32 sums in
+training can flip the acceptance suite's gates):
+
+* every parameter, buffer and velocity after 30 ``train_loop`` iterations
+  whose cross-entropy warm-up ends at iteration 10;
+* the batch-1 ``forward(params, mode="inference")`` of the trained model
+  (``infer_stream``'s path) and its batch-1 ``inference_view`` forward.
+
+The battery needs about fifteen seconds per tree.  It is not part of the test
 suite; pytest does not collect it.
 """
 
@@ -55,6 +64,9 @@ TOLERANCES = {
     "mc_estimate": 1e-8,
     "checkpoint.header": 0.0,
     "checkpoint.blobs": 1e-12,
+    "f32.train_state": 0.0,
+    "f32.forward": 0.0,
+    "f32.view.forward": 0.0,
 }
 
 
@@ -135,6 +147,21 @@ def _battery(out_path):
         saved[f"checkpoint.blobs|{name}"] = np.frombuffer(
             raw[offset:offset + n], dtype=arr.dtype.newbyteorder("<")).astype(np.float64)
         offset += n
+
+    params32 = build(cfg, Rng(7), dtype=np.float32)
+    tc32 = T.TrainConfig(learning_rate=0.003, momentum=0.9, batch_size=5,
+                         iterations=30, checkpoint_interval=100, seed=7,
+                         clip_norm=1.0, warmup_iterations=10,
+                         warmup_learning_rate=0.1)
+    state32, _, _ = T.train_loop(params32, tc32, data, log=lambda msg: None)
+    for name, arr in T._blob_directory(params32, state32):
+        saved[f"f32.train_state|{name}"] = np.array(arr)
+    image32 = data[2].image[None].astype(np.float32)
+    for quantity, net in (("f32.forward", params32),
+                          ("f32.view.forward", inference_view(params32, np.float32))):
+        out = forward(net, image32, mode="inference")
+        saved[f"{quantity}|embedding"] = out.embedding.data
+        saved[f"{quantity}|ce_probs"] = out.ce_probs.data
     saved["source"] = np.array(os.path.dirname(os.path.abspath(salseg.__file__)))
     np.savez(out_path, **saved)
 
@@ -163,7 +190,9 @@ def compare(ref_path, new_path):
         if key not in new.files or new[key].shape != ref[key].shape:
             diff = np.inf
         elif TOLERANCES[quantity] == 0.0:
-            diff = 0.0 if np.array_equal(ref[key], new[key]) else np.inf
+            same = (ref[key].dtype == new[key].dtype
+                    and ref[key].tobytes() == new[key].tobytes())
+            diff = 0.0 if same else np.inf
         else:
             scale = _scale(key, ref[key], ref)
             delta = float(np.abs(new[key] - ref[key]).max())
