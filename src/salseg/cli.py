@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .tensor import Tensor, Rng, finite_diff_check
 from .layers import (ConvParams, BatchNormParams, conv2d, deconv2d, batch_norm,
-                     softmax2, replicate_upsample)
+                     softmax2, replicate_upsample, replicate_concat)
 from .model import IN_CHANNELS, ModelConfig, build, forward, inference_view
 from .losses import (SampleSet, cross_entropy, metric_loss_centroid,
                      combined_loss)
@@ -323,6 +323,11 @@ def _gradcheck_battery(rng):
                    rng.normal((1 * 2 * 3 * 3,))))
     checks.append(("replicate_upsample",
                    lambda x: replicate_upsample(x.reshape(1, 2, 3, 3), 2)
+                   .square().sum(), rng.normal((1 * 2 * 3 * 3,))))
+    # two maps of x with different replication factors, 2 and 6
+    checks.append(("replicate_concat",
+                   lambda x: replicate_concat([x.reshape(1, 2, 3, 3),
+                                               x.reshape(1, 18, 1, 1)], 6)
                    .square().sum(), rng.normal((1 * 2 * 3 * 3,))))
 
     labels = (rng.uniform(0, 1, (4, 4)) > 0.5).astype(np.uint8)

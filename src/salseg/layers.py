@@ -14,8 +14,14 @@ convolution's forward map) multiplies by the transposed kernel matrix and
 adds the result back into the input, one slice-add per tap (col2im):
 
 * At stride 1 the GEMM runs on the output gradient laid out on the padded
-  input grid (zeros outside each Ho x Wo corner), so every tap is one
-  contiguous run of the flattened padded map at flat offset i*Wp + j.
+  input grid (zeros outside each Ho x Wo corner), so every tap is one add
+  of full rows, all channels at once, into one flat accumulator at offset
+  i*Wp + j.  The terms that spill past a channel's end into the next
+  channel's head come from that channel's last grid positions, outside
+  every Ho x Wo corner, so they are exact zeros.  On the desk shapes that
+  run this loop, the full-row adds took 0.65-1.03 of the time of the
+  per-channel-row adds they replace (batch 1 float64 and float32, batch 5
+  float32, medians of 200 interleaved calls, 2-vCPU host).
 * At stride 2 (the encoder's halving convs and every transposed conv) each
   tap is one strided slice whose step is the stride; no zero-dilated copy
   of the input is made.
@@ -261,9 +267,13 @@ def _conv_bwd_data(gy, w, stride, pad, in_hw):
     At stride 1 the output gradient is first placed in the top-left Ho x Wo
     corner of each zero Hp x Wp padded map, so the GEMM's columns are the
     flattened padded grid.  Tap (i, j) then shifts every column by the same
-    flat offset i*Wp + j, and its add is one contiguous run of N*Hp*Wp
-    elements per channel row: an entry that crosses a row or image boundary
-    comes from the zero margin, so it adds nothing.  At stride 2 the taps
+    flat offset i*Wp + j, and its add is one add of the tap's full
+    (C, N*Hp*Wp) rows into the contiguous view at that offset of one flat
+    accumulator, C*N*Hp*Wp + (kh - 1)*Wp + kw - 1 long.  A term that
+    crosses a row, image or channel boundary comes from the zero margin:
+    each channel's last i*Wp + j grid positions lie outside every Ho x Wo
+    corner.  It adds an exact zero (+0.0 or -0.0) to a sum that starts at
+    +0.0, which leaves the sum unchanged.  At stride 2 the taps
     interleave, and each is one strided slice-add whose step is the stride,
     so no zero-dilated copy of ``gy`` is made.
 
@@ -300,12 +310,14 @@ def _conv_bwd_data(gy, w, stride, pad, in_hw):
         return np.ascontiguousarray(gx.reshape(ic, n, h, wd).transpose(1, 0, 2, 3))
     if stride == 1:
         dcols = dcols.reshape(ic, kh, kw, run)
-        gxp = np.zeros((ic, run), dtype=dcols.dtype)
+        span = ic * run
+        gxp = np.zeros(span + (kh - 1) * wp + kw - 1, dtype=dcols.dtype)
         for i in range(kh):
             for j in range(kw):
                 off = i * wp + j
-                gxp[:, off:] += dcols[:, i, j, :run - off]
-        gxp = gxp.reshape(ic, n, hp, wp)
+                acc = gxp[off:off + span].reshape(ic, run)
+                acc += dcols[:, i, j]
+        gxp = gxp[:span].reshape(ic, n, hp, wp)
     else:
         dcols = dcols.reshape(ic, kh, kw, n, ho, wo)
         gxp = np.zeros((ic, n, hp, wp), dtype=dcols.dtype)
@@ -569,5 +581,46 @@ def concat_channels(inputs) -> Tensor:
 
     def bwd(g):
         return tuple(g[:, lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+    return Tensor._make(out, tuple(inputs), bwd)
+
+
+def replicate_concat(inputs, size) -> Tensor:
+    """``concat_channels([replicate_upsample(x, size // H), ...])`` of
+    square (N, C_i, H, H) tensors, as one op: each input's replication is
+    written straight into its channels of one (N, sum C_i, size, size)
+    array.  The backward gives each input the copy of its channels of the
+    gradient, summed over each replicated block (as the two ops do)."""
+    inputs = list(inputs)
+    if not inputs:
+        raise ValueError("replicate_concat of empty list")
+    nb = inputs[0].data.shape[0]
+    factors = []
+    for t in inputs:
+        _, _, h, w = t.data.shape
+        if t.data.shape[0] != nb or h != w or h < 1 or size % h:
+            raise ValueError(f"replicate_concat: cannot replicate {t.data.shape} "
+                             f"to {size}x{size} in a batch of {nb}")
+        factors.append(size // h)
+    bounds = np.cumsum([0] + [t.data.shape[1] for t in inputs])
+    out = np.empty((nb, bounds[-1], size, size),
+                   dtype=np.result_type(*(t.data for t in inputs)))
+    for t, f, lo, hi in zip(inputs, factors, bounds[:-1], bounds[1:]):
+        c, h = t.data.shape[1:3]
+        # each row repeated along its contiguous axis once, then copied to
+        # its f output rows; splitting an axis of a view is a view, so the
+        # copy lands in ``out``
+        rows = np.repeat(t.data, f, axis=3) if f > 1 else t.data
+        out[:, lo:hi].reshape(nb, c, h, f, size)[...] = rows[:, :, :, None, :]
+
+    def bwd(g):
+        grads = []
+        for t, f, lo, hi in zip(inputs, factors, bounds[:-1], bounds[1:]):
+            gi = g[:, lo:hi].copy()
+            if f > 1:
+                c, h = t.data.shape[1:3]
+                gi = gi.reshape(nb, c, h, f, h, f).sum(axis=(3, 5))
+            grads.append(gi)
+        return tuple(grads)
 
     return Tensor._make(out, tuple(inputs), bwd)

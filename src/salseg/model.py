@@ -4,9 +4,13 @@ The encoder halves the spatial size and doubles the channel count per block
 down to a 1x1 bottleneck; the decoder mirrors it with skip concatenations.
 Each of the 2*log2(I)+1 scales (the raw image plus every encoder and decoder
 level) contributes one feature map, upsampled by replication to the input
-size.  A 16-kernel 1x1 convolution over the concatenated stack produces the
+size: one op writes every map's replication straight into its channel of
+the stack.  A 16-kernel 1x1 convolution over the stack produces the
 per-pixel embedding field, and a 2-kernel 1x1 convolution the foreground /
-background probabilities.
+background probabilities.  That CE head runs when the forward's output is
+first asked for ``ce_logits`` or ``ce_probs``, so a caller that reads only
+the embedding (the metric-head probe scalar, ``dump-features``) never runs
+it; the head has no batch norm, so running it late changes nothing.
 
 The network's structure lives in one place: ``ModelParams.layers``, the
 ordered list of ``Layer`` records that ``build`` creates.  A record holds one
@@ -29,13 +33,15 @@ multiply zero padding, so the network's function is that of the 3x3 one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .tensor import Tensor, Rng
 from .layers import (ConvParams, BatchNormParams, conv2d, deconv2d, batch_norm,
-                     relu, softmax2, replicate_upsample, concat_channels)
+                     relu, softmax2, concat_channels, replicate_concat)
 
 # every image salseg generates, reads or writes is RGB (PPM P6)
 IN_CHANNELS = 3
@@ -121,11 +127,26 @@ class ModelParams:
 
 @dataclass
 class ForwardOutput:
-    scale_maps: list          # scale_count tensors, each (N, 1, I, I)
+    """What one forward computes.  The CE head (a bare 1x1 conv of the
+    stack, then softmax) runs when ``ce_logits`` or ``ce_probs`` is first
+    read, once: a reader of the embedding alone never pays for it."""
     stack: Tensor             # (N, scale_count, I, I)
     embedding: Tensor         # (N, C, I, I)
-    ce_logits: Tensor         # (N, 2, I, I)
-    ce_probs: Tensor          # (N, 2, I, I)
+    ce_head: Callable = field(repr=False)  # () -> the (N, 2, I, I) logits
+
+    @property
+    def scale_maps(self) -> list:
+        """The stack's channels: one grad-free (N, 1, I, I) view per scale."""
+        return [Tensor(self.stack.data[:, s:s + 1])
+                for s in range(self.stack.data.shape[1])]
+
+    @functools.cached_property
+    def ce_logits(self) -> Tensor:
+        return self.ce_head()
+
+    @functools.cached_property
+    def ce_probs(self) -> Tensor:
+        return softmax2(self.ce_logits)
 
 
 def _live_taps(k, size, stride):
@@ -290,14 +311,10 @@ def forward(params: ModelParams, image: Tensor, mode: str = "inference",
     # the per-scale maps are normalized before stacking; without this the
     # scale convs and the heads form an unnormalized two-layer chain whose
     # weights can grow without bound under the metric objective
-    scale_maps = []
-    for feat, layer in zip(feats, params.with_role("scale")):
-        factor = cfg.input_size // feat.data.shape[2]
-        scale_maps.append(replicate_upsample(apply(layer, feat), factor))
-
-    stack = concat_channels(scale_maps)
+    stack = replicate_concat([apply(layer, feat) for feat, layer
+                              in zip(feats, params.with_role("scale"))],
+                             cfg.input_size)
     emb_head, ce_head = params.with_role("head")
-    embedding = apply(emb_head, stack)
-    ce_logits = apply(ce_head, stack)
-    return ForwardOutput(scale_maps=scale_maps, stack=stack, embedding=embedding,
-                         ce_logits=ce_logits, ce_probs=softmax2(ce_logits))
+    # the CE head has no batch norm, so running it later changes no state
+    return ForwardOutput(stack=stack, embedding=apply(emb_head, stack),
+                         ce_head=lambda: apply(ce_head, stack))

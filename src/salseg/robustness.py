@@ -14,7 +14,10 @@ M = ‖G‖ bounds the output change per unit input change.
 Every probe that only evaluates the scalar (the Monte-Carlo estimator, the
 measured ratios) runs through the model's inference view, built once per
 call: batch norm folded into the convs, weights cast once to the compute
-dtype, no autodiff graph.  ``input_gradient`` differentiates the trained
+dtype, no autodiff graph.  A Monte-Carlo direction computes only what its
+scalar reads: x + t·n is formed in the direction's own buffer, the scalar
+records no op, and on the metric head (centroid frozen) the CE head of the
+forward never runs.  ``input_gradient`` differentiates the trained
 parameters themselves.  The absolute network is the view's magnitudes with
 zero biases, run through the plain ``forward`` on all-ones: no ReLU input is
 negative, and one at exactly 0 has a zero product on every path to it.
@@ -110,9 +113,13 @@ def _scalarize(out, head, centroid=None):
     ``metric``: Σ_p √(‖e_p − c‖² + ε) over the embedding e and the frozen
     background centroid c, gradient (e_p − c) / √(‖e_p − c‖² + ε).
     ``ce``: Σ p₁ over the salient-class probabilities, gradient 1 on
-    channel 1."""
+    channel 1.  On an output that needs no gradient there is nothing to
+    record: the value comes from the same operations in the same order,
+    the metric head's squares and sums done in place."""
     if head == "ce":
         probs = out.ce_probs.data
+        if not out.ce_probs.requires_grad:
+            return Tensor(probs[:, 1].sum())
 
         def ce_bwd(g):
             grad = np.zeros_like(probs)
@@ -124,6 +131,11 @@ def _scalarize(out, head, centroid=None):
         centroid = _frozen_centroid(out)
     emb = out.embedding.data
     diff = emb - centroid.reshape(1, -1, 1, 1).astype(emb.dtype)
+    if not out.embedding.requires_grad:
+        diff *= diff
+        sq = diff.sum(axis=1)
+        sq += _NORM_EPS
+        return Tensor(np.sqrt(sq, out=sq).sum())
     # the epsilon keeps the gradient finite where a pixel sits exactly on
     # the centroid; the per-channel derivative stays bounded by 1
     dist = np.sqrt((diff * diff).sum(axis=1) + _NORM_EPS)
@@ -196,8 +208,11 @@ def mc_directional_fn(f, x, p, t, n_samples, rng: Rng) -> DirectionalEstimate:
     f0 = float(f(x))
     vals = np.empty(n_samples)
     for i in range(n_samples):
-        direction = rng.uniform_sphere(d).reshape(x.shape)
-        vals[i] = abs(float(f(x + t * direction)) - f0) ** p / t ** p
+        # x + t·n, formed in the direction's own buffer
+        point = rng.uniform_sphere(d).reshape(x.shape)
+        point *= t
+        point += x
+        vals[i] = abs(float(f(point)) - f0) ** p / t ** p
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return DirectionalEstimate(p=float(p), t=float(t), n_samples=n_samples,

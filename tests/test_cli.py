@@ -577,6 +577,7 @@ class TestDumpFeatures:
                    str(image_file), "--out", str(tmp_path / "feats")) == 0
 
         (out,) = outs
+        assert "ce_logits" not in vars(out)  # the CE head never ran
         assert not out.embedding.requires_grad
         assert not any(m.requires_grad for m in out.scale_maps)
         ck_params = loaded[0].params

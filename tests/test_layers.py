@@ -8,7 +8,7 @@ from salseg.tensor import Tensor, Rng, finite_diff_check
 from salseg import layers
 from salseg.layers import (ConvParams, BatchNormParams, conv2d, deconv2d,
                            batch_norm, relu, softmax2, replicate_upsample,
-                           concat_channels)
+                           concat_channels, replicate_concat)
 from salseg.model import ModelConfig, build, forward
 
 
@@ -479,9 +479,14 @@ BOUNDARY_CALLS = [
     ("col2im", 1, ((1, 8, 4, 4), (8, 6, 3, 3), 2, 1, (8, 8))),
     ("col2im", 1, ((1, 8, 5, 5), (8, 6, 3, 3), 2, 1, (10, 10))),
 ]
+# a stride-1 col2im of full rows in which each of several channels spills
+# into the next one's head, over several images
+FULL_ROW_CALLS = [
+    ("col2im", 3, ((3, 5, 12, 12), (5, 4, 3, 3), 1, 1, (12, 12))),
+]
 DESK_CALLS = _desk_kernel_calls()
 KERNEL_CASES = [(kind, args, dtype)
-                for kind, n, args in DESK_CALLS + BOUNDARY_CALLS
+                for kind, n, args in DESK_CALLS + BOUNDARY_CALLS + FULL_ROW_CALLS
                 for dtype in ((np.float32, np.float64) if n == 1 else (np.float32,))]
 
 
@@ -851,6 +856,59 @@ class TestConcatChannels:
             return (parts * w).square().sum()
 
         assert finite_diff_check(fn, Tensor(rng.normal((20,)))) < 1e-4
+
+
+class TestReplicateConcat:
+    """One op in place of ``concat_channels`` of ``replicate_upsample``
+    outputs: the same bytes forward and backward."""
+
+    DESK_SIZES = (64, 32, 16, 8, 4, 2, 1)  # every scale map of the 64x64 model
+
+    @pytest.mark.parametrize("n,dtype", [(1, np.float64), (5, np.float32)])
+    def test_matches_replicate_then_concat_bytewise(self, n, dtype):
+        rng = Rng(41)
+        maps = [_with_negative_zeros(rng.normal((n, 1, h, h), dtype=dtype))
+                for h in self.DESK_SIZES]
+        g = _with_negative_zeros(rng.normal((n, len(maps), 64, 64), dtype=dtype))
+        got_in = [Tensor(m, requires_grad=True) for m in maps]
+        want_in = [Tensor(m, requires_grad=True) for m in maps]
+        got = replicate_concat(got_in, 64)
+        want = concat_channels([replicate_upsample(t, 64 // t.data.shape[2])
+                                for t in want_in])
+        assert got.data.dtype == want.data.dtype and got.data.flags.c_contiguous
+        assert got.data.tobytes() == want.data.tobytes()
+        got.backward(g)
+        want.backward(g)
+        for a, b in zip(got_in, want_in):
+            assert a.grad.dtype == b.grad.dtype and a.grad.shape == b.grad.shape
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+    def test_several_channels_per_input(self):
+        rng = Rng(42)
+        a, b = rng.normal((2, 3, 2, 2)), rng.normal((2, 2, 4, 4))
+        out = replicate_concat([Tensor(a), Tensor(b)], 4).data
+        np.testing.assert_array_equal(out[:, :3], replicate_upsample(Tensor(a), 2).data)
+        np.testing.assert_array_equal(out[:, 3:], b)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = Rng(43)
+        w = rng.normal((1, 20, 6, 6))
+
+        def fn(x):
+            maps = [x.reshape(1, 2, 3, 3), x.reshape(1, 18, 1, 1)]
+            return (replicate_concat(maps, 6) * w).square().sum()
+
+        assert finite_diff_check(fn, Tensor(rng.normal((18,)))) < 1e-6
+
+    @pytest.mark.parametrize("shapes,size", [
+        ([], 4),
+        ([(1, 1, 3, 3)], 4),           # 4 is not a multiple of 3
+        ([(1, 1, 2, 4)], 4),           # not square
+        ([(1, 1, 2, 2), (2, 1, 2, 2)], 4),  # batch sizes differ
+    ])
+    def test_rejects_what_it_cannot_stack(self, shapes, size):
+        with pytest.raises(ValueError):
+            replicate_concat([Tensor(np.zeros(s)) for s in shapes], size)
 
 
 class TestAdjointConsistency:

@@ -99,6 +99,28 @@ class TestForward:
         assert out.ce_probs.data.shape == (2, 2, 64, 64)
         np.testing.assert_allclose(out.ce_probs.data.sum(axis=1), 1.0, rtol=1e-5)
 
+    def test_ce_head_runs_once_on_first_read(self, monkeypatch):
+        params = build(small_config(), Rng(17))
+        img = Tensor(Rng(18).uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))
+        heads = []
+        monkeypatch.setattr(model, "softmax2",
+                            lambda t: heads.append(t) or layers.softmax2(t))
+        out = forward(params, img, mode="inference")
+        assert heads == [] and "ce_logits" not in vars(out)
+        assert out.ce_probs is out.ce_probs
+        assert out.ce_logits is heads[0]
+        assert len(heads) == 1
+
+    def test_scale_maps_are_grad_free_views_of_the_stack(self):
+        params = build(small_config(), Rng(19), dtype=np.float64)
+        img = Tensor(Rng(20).uniform(0, 1, (2, 3, 16, 16)), requires_grad=True)
+        out = forward(params, img, mode="train")
+        assert out.stack.requires_grad
+        for s, m in enumerate(out.scale_maps):
+            assert not m.requires_grad
+            assert np.shares_memory(m.data, out.stack.data)
+            np.testing.assert_array_equal(m.data, out.stack.data[:, s:s + 1])
+
     def test_zero_weights_give_uniform_probs(self):
         cfg = small_config()
         params = build(cfg, Rng(5))
@@ -208,7 +230,10 @@ class TestLayerList:
         for op in calls:
             monkeypatch.setattr(model, op, counting(op))
         img = Tensor(Rng(2).uniform(0, 1, (1, 3, 8, 8)).astype(np.float32))
-        forward(params, img, mode="inference")
+        out = forward(params, img, mode="inference")
+        # the CE head runs on the first read of its output, once
+        assert calls["conv2d"] == sum(not layer.transposed for layer in params.layers) - 1
+        out.ce_probs, out.ce_logits, out.ce_probs
         assert calls == {
             "conv2d": sum(not layer.transposed for layer in params.layers),
             "deconv2d": sum(layer.transposed for layer in params.layers),

@@ -7,7 +7,7 @@ from salseg.tensor import Tensor, Rng, finite_diff_check
 from salseg.model import ModelConfig, build, forward, inference_view
 from salseg.data import generate_synthetic
 from salseg.distortions import DistortionSpec, apply as apply_distortion
-from salseg import robustness
+from salseg import model as model_module, robustness
 from salseg.robustness import (input_gradient, jacobian_stats,
                                mc_directional_fn, mc_directional_norm,
                                lipschitz_bound, distortion_sensitivity,
@@ -409,7 +409,8 @@ class TestScalarizedOutput:
         out = forward(params, Tensor(image[None]))
         emb = Tensor(out.embedding.data, requires_grad=True)
         probs = Tensor(out.ce_probs.data, requires_grad=True)
-        leaves = replace(out, embedding=emb, ce_probs=probs)
+        leaves = replace(out, embedding=emb)
+        leaves.ce_probs = probs  # stands in for the head that runs on first read
         scalar = robustness._scalarize(leaves, head)
         parent = emb if head == "metric" else probs
         assert len(scalar._parents) == 1 and scalar._parents[0] is parent
@@ -421,3 +422,53 @@ class TestScalarizedOutput:
             want = np.zeros_like(probs.data)
             want[:, 1] = 1.0
         np.testing.assert_allclose(parent.grad, want, rtol=1e-12, atol=0)
+
+
+class TestProbeDirections:
+    """Each MC direction computes only what its scalar reads."""
+
+    def test_metric_directions_never_run_the_ce_head(self, model, image,
+                                                     monkeypatch):
+        cfg, params = model
+        calls = {"softmax2": 0, "forward": 0}
+
+        def counting(module, name):
+            orig = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(model_module, "softmax2")
+        counting(robustness, "forward")
+        mc_directional_norm(params, image, n_samples=5, rng=Rng(44))
+        # the centroid forward reads the CE probabilities; f(x) and the
+        # directions read the embedding only
+        assert calls == {"softmax2": 1, "forward": 5 + 2}
+
+    @pytest.mark.parametrize("head", ["metric", "ce"])
+    def test_grad_free_scalar_equals_the_recorded_op(self, model, image, head):
+        cfg, params = model
+        out = forward(inference_view(params, np.float64), Tensor(image[None]))
+        centroid = robustness._frozen_centroid(out)
+        emb = out.embedding.data.copy()
+        leaves = replace(out, embedding=Tensor(emb.copy(), requires_grad=True))
+        leaves.ce_probs = Tensor(out.ce_probs.data.copy(), requires_grad=True)
+        recorded = robustness._scalarize(leaves, head, centroid)
+        free = robustness._scalarize(out, head, centroid)
+        assert recorded._backward_fn is not None and free._backward_fn is None
+        assert free.data.dtype == recorded.data.dtype
+        assert free.data.tobytes() == recorded.data.tobytes()
+        assert out.embedding.data.tobytes() == emb.tobytes()
+
+    def test_perturbation_equals_x_plus_t_n(self):
+        x = Rng(45).normal((3, 4, 4))
+        seen = []
+        mc_directional_fn(lambda z: seen.append(z.copy()) or 0.0, x, p=2,
+                          t=1e-3, n_samples=3, rng=Rng(46))
+        assert len(seen) == 4
+        rng = Rng(46)
+        for z in seen[1:]:
+            want = x + 1e-3 * rng.uniform_sphere(x.size).reshape(x.shape)
+            assert z.tobytes() == want.tobytes()

@@ -21,7 +21,8 @@ float64 built at seed 7:
   feed a batch norm, and ``emb.b`` (the metric loss is invariant to a
   shift of the embedding).  Those are compared with the model's largest
   gradient;
-* the inference forward through ``inference_view``;
+* the inference forward through ``inference_view``: the scale stack, the
+  embedding and the CE probabilities;
 * on each head: ``input_gradient``, ``lipschitz_bound(...).bound_field``
   and a 10-sample ``mc_directional_norm`` estimate (which compares the
   probe scalar's forward value);
@@ -36,7 +37,8 @@ training can flip the acceptance suite's gates):
 * every parameter, buffer and velocity after 30 ``train_loop`` iterations
   whose cross-entropy warm-up ends at iteration 10;
 * the batch-1 ``forward(params, mode="inference")`` of the trained model
-  (``infer_stream``'s path) and its batch-1 ``inference_view`` forward.
+  (``infer_stream``'s path) and its batch-1 ``inference_view`` forward:
+  each one's scale stack, embedding and CE probabilities.
 
 The battery needs about fifteen seconds per tree.  It is not part of the test
 suite; pytest does not collect it.
@@ -124,6 +126,7 @@ def _battery(out_path):
 
     view = inference_view(params, np.float64)
     out = forward(view, np.stack(images), mode="inference", update_running=False)
+    saved["view.forward|stack"] = out.stack.data
     saved["view.forward|embedding"] = out.embedding.data
     saved["view.forward|ce_probs"] = out.ce_probs.data
     for head in ("metric", "ce"):
@@ -160,6 +163,7 @@ def _battery(out_path):
     for quantity, net in (("f32.forward", params32),
                           ("f32.view.forward", inference_view(params32, np.float32))):
         out = forward(net, image32, mode="inference")
+        saved[f"{quantity}|stack"] = out.stack.data
         saved[f"{quantity}|embedding"] = out.embedding.data
         saved[f"{quantity}|ce_probs"] = out.ce_probs.data
     saved["source"] = np.array(os.path.dirname(os.path.abspath(salseg.__file__)))
