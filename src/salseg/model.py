@@ -129,7 +129,9 @@ class ModelParams:
 class ForwardOutput:
     """What one forward computes.  The CE head (a bare 1x1 conv of the
     stack, then softmax) runs when ``ce_logits`` or ``ce_probs`` is first
-    read, once: a reader of the embedding alone never pays for it."""
+    read, once: a reader of the embedding alone never pays for it.  It
+    runs on the parameters as they are at that read, so read ``ce_logits``
+    or ``ce_probs`` before the parameters change in place."""
     stack: Tensor             # (N, scale_count, I, I)
     embedding: Tensor         # (N, C, I, I)
     ce_head: Callable = field(repr=False)  # () -> the (N, 2, I, I) logits

@@ -113,13 +113,10 @@ def _scalarize(out, head, centroid=None):
     ``metric``: Σ_p √(‖e_p − c‖² + ε) over the embedding e and the frozen
     background centroid c, gradient (e_p − c) / √(‖e_p − c‖² + ε).
     ``ce``: Σ p₁ over the salient-class probabilities, gradient 1 on
-    channel 1.  On an output that needs no gradient there is nothing to
-    record: the value comes from the same operations in the same order,
-    the metric head's squares and sums done in place."""
+    channel 1.  On an output that needs no gradient ``Tensor._make``
+    records nothing."""
     if head == "ce":
         probs = out.ce_probs.data
-        if not out.ce_probs.requires_grad:
-            return Tensor(probs[:, 1].sum())
 
         def ce_bwd(g):
             grad = np.zeros_like(probs)
@@ -131,14 +128,11 @@ def _scalarize(out, head, centroid=None):
         centroid = _frozen_centroid(out)
     emb = out.embedding.data
     diff = emb - centroid.reshape(1, -1, 1, 1).astype(emb.dtype)
-    if not out.embedding.requires_grad:
-        diff *= diff
-        sq = diff.sum(axis=1)
-        sq += _NORM_EPS
-        return Tensor(np.sqrt(sq, out=sq).sum())
     # the epsilon keeps the gradient finite where a pixel sits exactly on
     # the centroid; the per-channel derivative stays bounded by 1
-    dist = np.sqrt((diff * diff).sum(axis=1) + _NORM_EPS)
+    dist = (diff * diff).sum(axis=1)
+    dist += _NORM_EPS
+    np.sqrt(dist, out=dist)
 
     def metric_bwd(g):
         return (2.0 * diff * (g * (0.5 / dist))[:, None],)
