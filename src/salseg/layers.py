@@ -9,38 +9,43 @@ it; transposed convolutions exactly double it.
 Each convolution kernel is one BLAS GEMM.  The forward map and the weight
 gradient multiply by the patch matrix: the padded input's kh*kw taps copied
 once into a contiguous (C*kh*kw, N*Ho*Wo) array whose rows are in the
-kernel's (C, kh, kw) order.  The data gradient (which is also the transposed
-convolution's forward map) multiplies by the transposed kernel matrix and
-adds the result back into the input, one slice-add per tap (col2im):
+kernel's (C, kh, kw) order.  Each tap is one strided slice copy whose step
+is the stride.  On small maps that loop costs more than the data it moves
+(at a 2x2 map each of nine taps copies rows of one to four elements), so
+when a tap row holds at most four elements (``_short_rows``: Wo <= 4)
+``_patches`` runs one ``np.take`` through an index plan instead: one
+channel's offsets, built with vectorised numpy on first use, cached per
+shape and read-only.  Measured on every desk shape at batch 1 (float64,
+float32) and batch 5 (float32), 2-vCPU host, the gather took 0.35-0.83 of
+the loop's time at Wo <= 4; at Wo = 8 the batch-5 patch matrix of 64
+channels took 1.28 (182 -> 234 us), so the boundary is four.
+
+The data gradient (which is also the transposed convolution's forward map)
+multiplies by the transposed kernel matrix and adds the result back into
+the input (col2im), one way per stride:
 
 * At stride 1 the GEMM runs on the output gradient laid out on the padded
   input grid (zeros outside each Ho x Wo corner), so every tap is one add
   of full rows, all channels at once, into one flat accumulator at offset
   i*Wp + j.  The terms that spill past a channel's end into the next
   channel's head come from that channel's last grid positions, outside
-  every Ho x Wo corner, so they are exact zeros.  On the desk shapes that
-  run this loop, the full-row adds took 0.65-1.03 of the time of the
-  per-channel-row adds they replace (batch 1 float64 and float32, batch 5
-  float32, medians of 200 interleaved calls, 2-vCPU host).
-* At stride 2 (the encoder's halving convs and every transposed conv) each
-  tap is one strided slice whose step is the stride; no zero-dilated copy
-  of the input is made.
+  every Ho x Wo corner, so they are exact zeros.  On the wide desk data
+  gradients at Wo <= 4 the full-row adds took 0.88-1.06 of the time of a
+  gather of the same terms; on the one-channel scale extractors they cost
+  7-16 us more per call.
+* At stride 2 (the encoder's halving convs and every transposed conv) the
+  taps interleave, and col2im is one gather of every pixel's terms through
+  a cached index plan, then one sum over the tap axis from +0.0.  At Wo =
+  8 and 16 the gather took 0.55-1.01 of the time of one strided slice-add
+  per tap (0.42-0.87 at Wo <= 4); at the 32 -> 64 transposed conv 0.80 and
+  0.98 at batch 1, and 1.32 at batch 5, its one loss.
 
-On small maps those per-tap loops cost more than the data they move: at
-a 2x2 map each of nine taps copies or adds rows of one to four elements.
-So when a tap row holds at most four elements (``_short_rows``: Wo <= 4
-on the small side, the patch matrix's output or the output gradient that
-col2im scatters), ``_patches`` and ``_conv_bwd_data`` run one ``np.take``
-through an index plan instead: one channel's offsets, built with
-vectorised numpy on first use, cached per shape and read-only.  col2im
-then sums each pixel's gathered terms over the tap axis, from +0.0.  Every
-GEMM keeps its operands and its shape, and every element gets the same
-terms in the same order, so the results are bit-identical to the loops.
-Measured per kernel on every desk shape at batch 1 (float64, float32) and
-batch 5 (float32), 2-vCPU host, the gather took 0.35-0.83 of the loop's
-time for the patch matrix at Wo <= 4, 0.42-0.87 for stride-2 col2im and
-0.57-1.01 for stride-1 col2im.  At Wo = 8 the batch-5 patch matrix of 64
-channels took 1.28 (182 -> 234 us), so the boundary is four.
+(Medians of 300 interleaved calls per shape at batch 1 float64 and
+float32 and batch 5 float32, one OpenBLAS thread, 2-vCPU x86-64 host.)
+
+Every GEMM keeps its operands and its shape, and every element gets the
+same terms in the same order, so the results are bit-identical to the
+per-tap loops.
 
 A 1x1 stride-1 conv (the two heads and the convs at the 1x1 bottleneck)
 needs no patch matrix at all: it is one batched matmul of the (oc, C)
@@ -135,11 +140,10 @@ class BatchNormParams:
 # -- raw convolution kernels (shared by forward and adjoint paths) -------------
 
 def _short_rows(wo):
-    """True when a kernel's taps should be one gather instead of a loop:
-    the tap rows, one per output row of the small side (the patch
-    matrix's Ho x Wo output, or the data gradient's Ho x Wo output
-    gradient), hold at most four elements.  Depends on shapes only (see the
-    module docstring for the measured boundary)."""
+    """True when the patch matrix's taps should be one gather instead of a
+    loop: its tap rows, one per row of the Ho x Wo output, hold at most
+    four elements.  Depends on shapes only (see the module docstring for
+    the measured boundary)."""
     return wo <= 4
 
 
@@ -218,41 +222,24 @@ def _conv_bwd_w(cols, gy, w_shape):
 
 @functools.lru_cache(maxsize=128)
 def _col2im_plan(n, h, wd, kh, kw, stride, pad, ho, wo):
-    """Where col2im finds the terms of each input pixel in one channel's
-    (kh*kw, width) block of the data gradient's GEMM result: an (R, P)
-    array, P = N*H*W, whose column p lists the offsets of pixel p's terms in
-    tap order, then the block's last offset, a zero, once for each tap that
-    does not reach p.  R is the largest term count.
-
-    At stride 1 a block row is the padded grid (width N*Hp*Wp), and pixel p
-    at grid position q gets tap (i, j) from position q - (i*Wp + j) whenever
-    that is >= 0: exactly the terms of the run-adds.  The last position lies
-    outside every Ho x Wo corner whenever a tap can be missing (k > 1), so
-    it holds zero for a finite kernel.  At stride 2 a block row is the (N,
-    Ho, Wo) output grid plus one zero column.  A lone pixel (P = 1) is
-    listed twice, so that the tap axis is never the sum's inner loop, where
-    numpy adds eight or more terms pairwise.  Read-only; built once per
-    shape."""
-    hp, wp = h + 2 * pad, wd + 2 * pad
+    """Where stride-2 col2im finds the terms of each input pixel in one
+    channel's (kh*kw, N*Ho*Wo + 1) block of the data gradient's GEMM result,
+    whose last column is zero: an (R, P) array, P = N*H*W, whose column p
+    lists the offsets of pixel p's terms in tap order, then the block's
+    last offset, the zero, once for each tap that does not reach p.  R is
+    the largest term count.  Read-only; built once per shape."""
+    width = n * ho * wo + 1
     i, j, b, y, x = np.ix_(np.arange(kh), np.arange(kw), np.arange(n),
                            np.arange(pad, pad + h), np.arange(pad, pad + wd))
-    if stride == 1:
-        width = n * hp * wp
-        src = b * (hp * wp) + y * wp + x - (i * wp + j)
-        live = src >= 0
-    else:
-        width = n * ho * wo + 1
-        dy, dx = y - i, x - j
-        live = ((dy >= 0) & (dy % stride == 0) & (dy < stride * ho)
-                & (dx >= 0) & (dx % stride == 0) & (dx < stride * wo))
-        src = b * (ho * wo) + dy // stride * wo + dx // stride
+    dy, dx = y - i, x - j
+    live = ((dy >= 0) & (dy % stride == 0) & (dy < stride * ho)
+            & (dx >= 0) & (dx % stride == 0) & (dx < stride * wo))
+    src = b * (ho * wo) + dy // stride * wo + dx // stride
     src, live = np.broadcast_arrays((i * kw + j) * width + src, live)
     src = np.where(live, src, width - 1).reshape(kh * kw, -1)
     live = live.reshape(kh * kw, -1)
     first = np.argsort(~live, axis=0, kind="stable")  # live taps first, in order
     plan = np.take_along_axis(src, first, axis=0)[:live.sum(axis=0).max()]
-    if plan.shape[1] == 1:
-        plan = np.repeat(plan, 2, axis=1)
     return _read_only(np.ascontiguousarray(plan))
 
 
@@ -261,55 +248,35 @@ def _conv_bwd_data(gy, w, stride, pad, in_hw):
     transposed convolution with the same kernel.
 
     One GEMM gives the gradient of the patch matrix; col2im then adds each
-    tap's rows back into the padded input, and a crop removes the padding.
-    The kernel is neither flipped nor copied.
+    tap's rows back into the input.  The kernel is neither flipped nor
+    copied.  Every input pixel sums its terms in tap order from +0.0.
 
     At stride 1 the output gradient is first placed in the top-left Ho x Wo
     corner of each zero Hp x Wp padded map, so the GEMM's columns are the
     flattened padded grid.  Tap (i, j) then shifts every column by the same
     flat offset i*Wp + j, and its add is one add of the tap's full
     (C, N*Hp*Wp) rows into the contiguous view at that offset of one flat
-    accumulator, C*N*Hp*Wp + (kh - 1)*Wp + kw - 1 long.  A term that
-    crosses a row, image or channel boundary comes from the zero margin:
-    each channel's last i*Wp + j grid positions lie outside every Ho x Wo
-    corner.  It adds an exact zero (+0.0 or -0.0) to a sum that starts at
-    +0.0, which leaves the sum unchanged.  At stride 2 the taps
-    interleave, and each is one strided slice-add whose step is the stride,
-    so no zero-dilated copy of ``gy`` is made.
+    accumulator, C*N*Hp*Wp + (kh - 1)*Wp + kw - 1 long; a crop removes the
+    padding.  A term that crosses a row, image or channel boundary comes
+    from the zero margin: each channel's last i*Wp + j grid positions lie
+    outside every Ho x Wo corner.  It adds an exact zero (+0.0 or -0.0) to
+    a sum that starts at +0.0, which leaves the sum unchanged.
 
-    On short tap rows (``_short_rows``) col2im is instead one gather of
-    every pixel's terms through ``_col2im_plan`` and one sum over the tap
-    axis from +0.0: the same terms in the same order as the adds, plus
-    zeros, which leave a sum that starts at +0.0 unchanged (such a sum is
-    never -0.0).  At stride 2 the GEMM writes its unchanged product into a
-    buffer one zero column wider, the zero the plan points missing taps
-    at."""
+    At stride 2 the taps interleave, so col2im is one gather of every
+    pixel's terms through ``_col2im_plan`` and one sum over the tap axis
+    from +0.0.  The GEMM writes its product into a buffer one zero column
+    wider, the zero the plan points missing taps at; those zeros leave a
+    sum that starts at +0.0 unchanged (such a sum is never -0.0)."""
     n, oc, ho, wo = gy.shape
     _, ic, kh, kw = w.shape
     h, wd = in_hw
-    hp, wp = h + 2 * pad, wd + 2 * pad
     wmat = w.reshape(oc, -1).T
-    gather = _short_rows(wo)
     if stride == 1:
+        hp, wp = h + 2 * pad, wd + 2 * pad
         gyp = np.zeros((oc, n, hp, wp), dtype=gy.dtype)
         gyp[:, :, :ho, :wo] = gy.transpose(1, 0, 2, 3)
         run = n * hp * wp
-        dcols = wmat @ gyp.reshape(oc, run)
-    elif gather:
-        rows = _rows(gy)
-        cols = rows.shape[1]
-        dcols = np.empty((ic * kh * kw, cols + 1), dtype=np.result_type(wmat, rows))
-        dcols[:, cols] = 0
-        np.matmul(wmat, rows, out=dcols[:, :cols])
-    else:
-        dcols = wmat @ _rows(gy)
-    if gather:
-        plan = _col2im_plan(n, h, wd, kh, kw, stride, pad, ho, wo)
-        terms = np.take(dcols.reshape(ic, -1), plan, axis=1)
-        gx = np.add.reduce(terms, axis=1, initial=0)[:, :n * h * wd]
-        return np.ascontiguousarray(gx.reshape(ic, n, h, wd).transpose(1, 0, 2, 3))
-    if stride == 1:
-        dcols = dcols.reshape(ic, kh, kw, run)
+        dcols = (wmat @ gyp.reshape(oc, run)).reshape(ic, kh, kw, run)
         span = ic * run
         gxp = np.zeros(span + (kh - 1) * wp + kw - 1, dtype=dcols.dtype)
         for i in range(kh):
@@ -318,15 +285,16 @@ def _conv_bwd_data(gy, w, stride, pad, in_hw):
                 acc = gxp[off:off + span].reshape(ic, run)
                 acc += dcols[:, i, j]
         gxp = gxp[:span].reshape(ic, n, hp, wp)
-    else:
-        dcols = dcols.reshape(ic, kh, kw, n, ho, wo)
-        gxp = np.zeros((ic, n, hp, wp), dtype=dcols.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + stride * (ho - 1) + 1:stride,
-                    j:j + stride * (wo - 1) + 1:stride] += dcols[:, i, j]
-    return np.ascontiguousarray(
-        gxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
+        return np.ascontiguousarray(
+            gxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
+    rows = _rows(gy)
+    cols = rows.shape[1]
+    dcols = np.empty((ic * kh * kw, cols + 1), dtype=np.result_type(wmat, rows))
+    dcols[:, cols] = 0
+    np.matmul(wmat, rows, out=dcols[:, :cols])
+    plan = _col2im_plan(n, h, wd, kh, kw, stride, pad, ho, wo)
+    gx = np.add.reduce(np.take(dcols.reshape(ic, -1), plan, axis=1), axis=1, initial=0)
+    return np.ascontiguousarray(gx.reshape(ic, n, h, wd).transpose(1, 0, 2, 3))
 
 
 # -- autodiff-aware layers -----------------------------------------------------

@@ -294,5 +294,6 @@ class Rng:
             v = self._gen.standard_normal(dim)
             n = np.linalg.norm(v)
             if n > 1e-12:
-                return v / n
+                v /= n  # in place: the values of v / n without a second array
+                return v
 

@@ -467,26 +467,37 @@ def _desk_kernel_calls():
     return list(dict.fromkeys(calls))
 
 
-# one shape on each side of ``_short_rows``'s boundary (Wo = 4 and 5), per
-# kernel and stride
+# one patch matrix on each side of ``_short_rows``'s boundary (Wo = 4 and
+# 5) per stride; stride-2 col2im at Wo = 8, 16 and 32 (the 32 -> 64
+# transposed conv, the one desk shape where the gather is slower than a
+# slice-add loop); a stride-1 col2im of several channels at Wo <= 4
 BOUNDARY_CALLS = [
     ("patches", 1, ((1, 8, 4, 4), 3, 3, 1, 1)),
     ("patches", 1, ((1, 8, 5, 5), 3, 3, 1, 1)),
     ("patches", 5, ((5, 8, 8, 8), 3, 3, 2, 1)),
     ("patches", 5, ((5, 8, 10, 10), 3, 3, 2, 1)),
+    ("col2im", 1, ((1, 8, 8, 8), (8, 6, 3, 3), 2, 1, (16, 16))),
+    ("col2im", 5, ((5, 8, 16, 16), (8, 6, 3, 3), 2, 1, (32, 32))),
+    ("col2im", 5, ((5, 8, 32, 32), (8, 4, 3, 3), 2, 1, (64, 64))),
+    ("col2im", 1, ((1, 8, 32, 32), (8, 4, 3, 3), 2, 1, (64, 64))),
     ("col2im", 5, ((5, 8, 4, 4), (8, 6, 3, 3), 1, 1, (4, 4))),
-    ("col2im", 5, ((5, 8, 5, 5), (8, 6, 3, 3), 1, 1, (5, 5))),
-    ("col2im", 1, ((1, 8, 4, 4), (8, 6, 3, 3), 2, 1, (8, 8))),
-    ("col2im", 1, ((1, 8, 5, 5), (8, 6, 3, 3), 2, 1, (10, 10))),
 ]
 # a stride-1 col2im of full rows in which each of several channels spills
 # into the next one's head, over several images
 FULL_ROW_CALLS = [
     ("col2im", 3, ((3, 5, 12, 12), (5, 4, 3, 3), 1, 1, (12, 12))),
 ]
+# col2im on maps of odd width at both strides, and at stride 2 from a 4x4
+# output gradient
+SMALL_MAP_CALLS = [
+    ("col2im", 5, ((5, 8, 5, 5), (8, 6, 3, 3), 1, 1, (5, 5))),
+    ("col2im", 1, ((1, 8, 4, 4), (8, 6, 3, 3), 2, 1, (8, 8))),
+    ("col2im", 1, ((1, 8, 5, 5), (8, 6, 3, 3), 2, 1, (10, 10))),
+]
 DESK_CALLS = _desk_kernel_calls()
 KERNEL_CASES = [(kind, args, dtype)
-                for kind, n, args in DESK_CALLS + BOUNDARY_CALLS + FULL_ROW_CALLS
+                for kind, n, args in dict.fromkeys(DESK_CALLS + BOUNDARY_CALLS
+                                                   + FULL_ROW_CALLS + SMALL_MAP_CALLS)
                 for dtype in ((np.float32, np.float64) if n == 1 else (np.float32,))]
 
 
@@ -498,9 +509,10 @@ def _with_negative_zeros(a):
 
 
 class TestGatheredTaps:
-    """On short tap rows the patch matrix and col2im are one gather through
-    a cached index plan; everywhere else the per-tap slice loops run.  Both
-    give the same bytes."""
+    """On short tap rows the patch matrix is one gather through a cached
+    index plan, elsewhere one slice copy per tap; col2im runs full-row adds
+    at stride 1 and a gather through a cached plan at stride 2.  All give
+    the bytes of the per-tap slice loops."""
 
     @pytest.mark.parametrize(
         "kind,args,dtype", KERNEL_CASES,
@@ -526,21 +538,45 @@ class TestGatheredTaps:
         assert got.tobytes() == want.tobytes()
 
     def test_boundary_cases_straddle_the_rule(self):
+        """``_short_rows`` is the patch matrix's rule, and the patch
+        matrices of ``BOUNDARY_CALLS`` lie on both sides of it."""
         assert layers._short_rows(4) and not layers._short_rows(5)
-
-    def test_desk_model_takes_both_paths(self):
-        """The desk shapes above cover the gather and the loops of both
-        kernels."""
-        taken = set()
-        for kind, _, args in DESK_CALLS:
+        sides = set()
+        for kind, _, args in BOUNDARY_CALLS:
             if kind == "patches":
                 (_, _, _, wd), _, kw, stride, pad = args
-                wo = (wd + 2 * pad - kw) // stride + 1
+                sides.add((stride, layers._short_rows((wd + 2 * pad - kw) // stride + 1)))
+        assert sides == {(1, True), (1, False), (2, True), (2, False)}
+
+    def test_desk_model_takes_both_paths(self, monkeypatch):
+        """On the desk shapes above the patch matrix takes both paths, and
+        col2im gathers through a plan at stride 2 and only there: stride 1
+        runs the full-row adds."""
+        built = []
+
+        def spy(build_plan):
+            def wrapped(*args):
+                built.append(args)
+                return build_plan(*args)
+            return wrapped
+
+        monkeypatch.setattr(layers, "_patch_plan", spy(layers._patch_plan))
+        monkeypatch.setattr(layers, "_col2im_plan", spy(layers._col2im_plan))
+        taken = set()
+        for kind, _, args in DESK_CALLS:
+            del built[:]
+            if kind == "patches":
+                shape, *rest = args
+                layers._patches(np.zeros(shape, dtype=np.float32), *rest)
+                taken.add((kind, bool(built)))
             else:
-                wo = args[0][3]
-            taken.add((kind, layers._short_rows(wo)))
+                gy_shape, w_shape, stride, pad, in_hw = args
+                layers._conv_bwd_data(np.zeros(gy_shape, dtype=np.float32),
+                                      np.zeros(w_shape, dtype=np.float32),
+                                      stride, pad, in_hw)
+                taken.add((kind, stride, bool(built)))
         assert taken == {("patches", True), ("patches", False),
-                         ("col2im", True), ("col2im", False)}
+                         ("col2im", 1, False), ("col2im", 2, True)}
 
     def test_plans_are_read_only_and_kept_per_shape(self):
         rng = Rng(24)
@@ -560,7 +596,7 @@ class TestGatheredTaps:
             assert kernel(a).tobytes() == first
         for build_plan, args in ((layers._patch_plan, (1, 6, 6, 3, 3, 1, 4, 4)),
                                  (layers._col2im_plan, (1, 4, 4, 3, 3, 2, 1, 2, 2)),
-                                 (layers._col2im_plan, (2, 4, 4, 3, 3, 1, 1, 4, 4))):
+                                 (layers._col2im_plan, (2, 8, 8, 3, 3, 2, 1, 4, 4))):
             plan = build_plan(*args)
             assert build_plan(*args) is plan
             assert not plan.flags.writeable

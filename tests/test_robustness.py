@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -194,23 +195,32 @@ class TestInferenceViewProbes:
         assert rec.ratio == abs(f1 - f0) / rec.e_input
 
 
+def sphere_moment(d, p):
+    """E|u_1|^p for u uniform on the unit sphere in R^d:
+    Gamma(d/2) Gamma((p+1)/2) / (sqrt(pi) Gamma((d+p)/2)), which is 1/d at
+    p = 2."""
+    return math.exp(math.lgamma(d / 2) + math.lgamma((p + 1) / 2)
+                    - 0.5 * math.log(math.pi) - math.lgamma((d + p) / 2))
+
+
 class TestProbeCrossCheck:
-    """Two independent probes of the desk-shaped model: at p = 2 the MC
-    estimate of the metric scalar converges to ||input_gradient||^2 / d,
-    since the scalar is smooth at the scale of t."""
+    """Two independent probes of the desk-shaped model: the MC estimate of
+    the metric scalar converges to ||input_gradient||_2^p * E|u_1|^p over
+    unit directions u, since the scalar is smooth at the scale of t."""
 
     @pytest.fixture(scope="class")
     def desk(self):
         cfg = ModelConfig(input_size=64, base_channels=4)
         return build(cfg, Rng(22), dtype=np.float64), generate_synthetic(3, 64, Rng(23))
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("index", [0, 1, 2])
-    def test_mc_estimate_matches_gradient_norm(self, desk, index):
+    def test_mc_estimate_matches_gradient_norm(self, desk, index, p):
         params, records = desk
         image = records[index].image.astype(np.float64)
         g = input_gradient(params, image)
-        want = float((g ** 2).sum()) / g.size
-        est = mc_directional_norm(params, image, p=2, t=1e-4, n_samples=200,
+        want = float(np.linalg.norm(g)) ** p * sphere_moment(g.size, p)
+        est = mc_directional_norm(params, image, p=p, t=1e-4, n_samples=200,
                                   rng=Rng(24, stream=index + 1))
         assert est.stderr > 0
         assert abs(est.estimate - want) <= 4 * est.stderr

@@ -148,6 +148,16 @@ class TestRng:
         got = Rng(31, stream=2).normal((7, 5, 3), mean=0.25, std=1.7, dtype=dtype)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 17, 12288])
+    def test_sphere_sample_equals_normalised_draw_bytewise(self, dim):
+        """The in-place division gives the bytes of ``v / ||v||`` on the
+        same draw."""
+        v = np.random.Generator(np.random.Philox(
+            key=np.array([31, 2], dtype=np.uint64))).standard_normal(dim)
+        want = v / np.linalg.norm(v)
+        got = Rng(31, stream=2).uniform_sphere(dim)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_sphere_sample_unit_norm(self):
         for d in (1, 2, 17, 1000):
             v = Rng(8).uniform_sphere(d)
