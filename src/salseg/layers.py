@@ -94,7 +94,7 @@ on the input side, where flipping a large kernel would cost more than it
 saves.
 
 Each op adds its bias in place into the array it has just computed, and a
-ReLU on an input that needs no gradient builds no mask.
+ReLU keeps no mask; its backward reads its output.
 """
 
 from __future__ import annotations
@@ -491,16 +491,14 @@ def batch_norm(x: Tensor, params: BatchNormParams, mode: str = "train",
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0).  The mask the backward multiplies by is built only when
-    ``x`` needs a gradient; otherwise there is no backward to keep."""
-    if not x.requires_grad:
-        return Tensor(np.maximum(x.data, 0))
-    mask = x.data > 0
+    """max(x, 0).  The backward passes g where the output is positive,
+    read from the output the node already holds; no mask is kept."""
+    out = np.maximum(x.data, 0)
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
-    return Tensor._make(x.data * mask, (x,), bwd)
+    return Tensor._make(out, (x,), bwd)
 
 
 def softmax2(x: Tensor) -> Tensor:

@@ -57,12 +57,7 @@ class SampleSet:
 class LossValues:
     l_ce: float
     l_ml_star: float
-    lam: float
     total: Tensor  # differentiable combined loss
-
-    @property
-    def total_value(self) -> float:
-        return float(self.total.data)
 
 
 def _check_sample(sample: SampleSet):
@@ -177,7 +172,7 @@ def combined_loss(embeddings: Tensor, ce_probs: Tensor, labels, samples,
     l_ml = metric_loss_centroid(embeddings, samples)
     total = l_ml + lam * l_ce
     return LossValues(l_ce=float(l_ce.data), l_ml_star=float(l_ml.data),
-                      lam=lam, total=total)
+                      total=total)
 
 
 def hard_negative_sample(per_pixel_loss: np.ndarray, labels: np.ndarray) -> SampleSet:

@@ -1,7 +1,6 @@
 """Sensitivity probes for a trained model: exact input gradients and their
-statistics, a Monte-Carlo directional derivative estimator, an element-wise
-Jacobian upper bound with the implied Lipschitz constant, and measured
-input/output error ratios under concrete distortions.
+statistics, a Monte-Carlo directional derivative estimator, and an
+element-wise Jacobian upper bound with the implied Lipschitz constant.
 
 The scalar the probes differentiate is the sum of the metric saliency map
 with the background centroid frozen (so the map is a fixed function of the
@@ -11,16 +10,16 @@ network": every linear coefficient replaced by its absolute value, every
 nonlinearity's derivative by 1.  G then dominates |g| at every input, and
 M = ‖G‖ bounds the output change per unit input change.
 
-Every probe that only evaluates the scalar (the Monte-Carlo estimator, the
-measured ratios) runs through the model's inference view, built once per
-call: batch norm folded into the convs, weights cast once to the compute
-dtype, no autodiff graph.  A Monte-Carlo direction computes only what its
-scalar reads: x + t·n is formed in the direction's own buffer, the scalar
-records no op, and on the metric head (centroid frozen) the CE head of the
-forward never runs.  ``input_gradient`` differentiates the trained
-parameters themselves.  The absolute network is the view's magnitudes with
-zero biases, run through the plain ``forward`` on all-ones: no ReLU input is
-negative, and one at exactly 0 has a zero product on every path to it.
+The Monte-Carlo estimator, which only evaluates the scalar, runs through
+the model's inference view, built once per call: batch norm folded into
+the convs, weights cast once to the compute dtype, no autodiff graph.  A
+Monte-Carlo direction computes only what its scalar reads: x + t·n is
+formed in the direction's own buffer, the scalar records no op, and on the
+metric head (centroid frozen) the CE head of the forward never runs.
+``input_gradient`` differentiates the trained parameters themselves.  The
+absolute network is the view's magnitudes with zero biases, run through
+the plain ``forward`` on all-ones: no ReLU input is negative, and one at
+exactly 0 has a zero product on every path to it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 from .tensor import Tensor, Rng
 from .model import IN_CHANNELS, ModelParams, forward, inference_view
 from .saliency import background_centroid
-from .distortions import DistortionSpec, apply as apply_distortion
 
 _NORM_EPS = 1e-12
 _HEADS = ("metric", "ce")
@@ -73,13 +71,6 @@ class BoundReport:
         return {"l1": self.l1, "l2": self.l2, "linf": self.linf}
 
 
-@dataclass
-class SensitivityRecord:
-    e_input: float
-    e_output: float
-    ratio: float
-
-
 def check_head(head):
     """Reject a probe scalar other than "metric" or "ce"."""
     if head not in _HEADS:
@@ -102,9 +93,8 @@ def check_mc(p, t, n_samples):
         raise ValueError("n_samples must be >= 1")
 
 
-def _frozen_centroid(out, image_index=0):
-    return background_centroid(out.embedding.data[image_index],
-                               out.ce_probs.data[image_index])
+def _frozen_centroid(out):
+    return background_centroid(out.embedding.data[0], out.ce_probs.data[0])
 
 
 def _scalarize(out, head, centroid=None):
@@ -147,14 +137,6 @@ def _probe_forward(view: ModelParams, image):
 
 def _probe_scalar(view: ModelParams, image, head, centroid) -> float:
     return float(_scalarize(_probe_forward(view, image), head, centroid).data)
-
-
-def scalarized_output(params: ModelParams, image, head="metric",
-                      centroid=None) -> float:
-    """Value of the probe scalar at one (C, H, W) image."""
-    check_head(head)
-    image = np.asarray(image)
-    return _probe_scalar(inference_view(params, image.dtype), image, head, centroid)
 
 
 def input_gradient(params: ModelParams, image, head="metric") -> np.ndarray:
@@ -262,22 +244,3 @@ def lipschitz_bound(params: ModelParams, norm="l2", head="metric") -> BoundRepor
     m = {"l1": l1, "l2": l2, "linf": linf}[norm]
     return BoundReport(bound_field=g, l1=l1, l2=l2, linf=linf, norm=norm,
                        lipschitz=m)
-
-
-def distortion_sensitivity(params: ModelParams, image, spec: DistortionSpec,
-                           rng: Rng = None, head="metric") -> SensitivityRecord:
-    """Measured ‖f(x̂) - f(x)‖ / ‖x̂ - x‖ for a concrete distortion, with the
-    probe scalar's centroid frozen at the clean input."""
-    check_head(head)
-    image = np.asarray(image, dtype=np.float64)
-    perturbed = apply_distortion(image, spec, rng)
-    e_in = float(np.linalg.norm((perturbed - image).reshape(-1)))
-    if e_in == 0.0:
-        raise ValueError("distortion left the input unchanged; ratio undefined")
-    view = inference_view(params, image.dtype)
-    out = _probe_forward(view, image)
-    centroid = _frozen_centroid(out) if head == "metric" else None
-    f0 = float(_scalarize(out, head, centroid).data)
-    f1 = _probe_scalar(view, perturbed, head, centroid)
-    e_out = abs(f1 - f0)
-    return SensitivityRecord(e_input=e_in, e_output=e_out, ratio=e_out / e_in)

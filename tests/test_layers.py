@@ -777,6 +777,14 @@ class TestActivations:
         x32 = Tensor(x.data.astype(np.float32))
         assert relu(x32).data.dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_recorded_and_grad_free_relu_agree_bytewise(self, dtype):
+        data = np.array([[-2.0, -0.0, 0.0, 1e-300, -1e-300, 3.0]], dtype=dtype)
+        recorded = relu(Tensor(data.copy(), requires_grad=True))
+        grad_free = relu(Tensor(data.copy()))
+        assert recorded.requires_grad and not grad_free.requires_grad
+        assert recorded.data.tobytes() == grad_free.data.tobytes()
+
     def test_relu_gradient_away_from_kink(self):
         point = Tensor(np.array([1.0, -2.0, 0.5]))
         assert finite_diff_check(lambda x: relu(x).sum(), point) < 1e-6

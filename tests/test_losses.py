@@ -177,18 +177,19 @@ class TestCombinedLoss:
     def test_lambda_zero(self):
         emb, probs, labels, samples = self.setup_case()
         lv = combined_loss(emb, probs, labels, samples, lam=0.0)
-        assert lv.total_value == pytest.approx(lv.l_ml_star)
+        assert float(lv.total.data) == pytest.approx(lv.l_ml_star)
 
     def test_components_sum(self):
         emb, probs, labels, samples = self.setup_case()
         lv = combined_loss(emb, probs, labels, samples, lam=1.0)
-        assert lv.total_value == pytest.approx(lv.l_ml_star + lv.l_ce, rel=1e-9)
+        assert float(lv.total.data) == pytest.approx(lv.l_ml_star + lv.l_ce, rel=1e-9)
         assert lv.l_ce == pytest.approx(
             float(cross_entropy(probs, labels, samples).data), rel=1e-9)
 
     def test_default_lambda_is_one(self):
         emb, probs, labels, samples = self.setup_case()
-        assert combined_loss(emb, probs, labels, samples).lam == 1.0
+        lv = combined_loss(emb, probs, labels, samples)
+        assert float(lv.total.data) == pytest.approx(lv.l_ml_star + lv.l_ce)
 
     def test_negative_lambda_rejected(self):
         emb, probs, labels, samples = self.setup_case()

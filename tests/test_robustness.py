@@ -7,12 +7,10 @@ import pytest
 from salseg.tensor import Tensor, Rng, finite_diff_check
 from salseg.model import ModelConfig, build, forward, inference_view
 from salseg.data import generate_synthetic
-from salseg.distortions import DistortionSpec, apply as apply_distortion
 from salseg import model as model_module, robustness
 from salseg.robustness import (input_gradient, jacobian_stats,
                                mc_directional_fn, mc_directional_norm,
-                               lipschitz_bound, distortion_sensitivity,
-                               scalarized_output)
+                               lipschitz_bound)
 
 
 def tiny_model(seed=0, dtype=np.float64, **overrides):
@@ -131,9 +129,6 @@ class TestParameterGradients:
 
         before = snapshot()
         mc_directional_norm(params, image, n_samples=3, rng=Rng(1), head=head)
-        scalarized_output(params, image, head=head)
-        distortion_sensitivity(params, image, DistortionSpec(kind="awgn", sigma=0.1),
-                               rng=Rng(2), head=head)
         lipschitz_bound(params, head=head)
         assert all(p.grad is None for _, p in params.named_parameters())
         assert snapshot() == before
@@ -149,9 +144,11 @@ class TestInferenceViewProbes:
         return random_bn(tiny_model(seed=16, dtype=np.float32)[1], seed=17)
 
     @pytest.mark.parametrize("head", ["metric", "ce"])
-    def test_scalarized_output_matches_graph_path(self, folded, image, head):
+    def test_probe_scalar_matches_graph_path(self, folded, image, head):
         want = graph_scalar(folded, image, head)
-        assert scalarized_output(folded, image, head=head) == pytest.approx(want, rel=1e-12)
+        got = robustness._probe_scalar(inference_view(folded, np.float64), image,
+                                       head, None)
+        assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("head", ["metric", "ce"])
     def test_mc_estimate_matches_graph_path(self, folded, image, head):
@@ -166,33 +163,6 @@ class TestInferenceViewProbes:
                                   rng=Rng(18), head=head)
         assert got.estimate == pytest.approx(want.estimate, rel=1e-8)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-6)
-
-    @pytest.mark.parametrize("head", ["metric", "ce"])
-    def test_distortion_ratio_takes_f0_from_the_centroid_forward(
-            self, monkeypatch, folded, image, head):
-        spec = DistortionSpec(kind="awgn", sigma=0.05, seed=21)
-        calls = []
-        real_forward = robustness.forward
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return real_forward(*args, **kwargs)
-
-        monkeypatch.setattr(robustness, "forward", counting)
-        rec = distortion_sensitivity(folded, image, spec, head=head)
-        assert len(calls) == 2
-        monkeypatch.undo()
-        # the three-forward form: centroid, f(x) and f(x_hat) separately
-        centroid = None
-        if head == "metric":
-            view = inference_view(folded, np.float64)
-            out = forward(view, Tensor(image[None]), mode="inference",
-                          update_running=False)
-            centroid = robustness._frozen_centroid(out)
-        perturbed = apply_distortion(image, spec)
-        f0 = scalarized_output(folded, image, head, centroid)
-        f1 = scalarized_output(folded, perturbed, head, centroid)
-        assert rec.ratio == abs(f1 - f0) / rec.e_input
 
 
 def sphere_moment(d, p):
@@ -365,37 +335,8 @@ class TestLipschitzBound:
         np.testing.assert_array_equal(a, b)
 
 
-class TestDistortionSensitivity:
-    def test_tiny_noise_ratio_below_bound(self, model, image):
-        cfg, params = model
-        m = lipschitz_bound(params).lipschitz
-        spec = DistortionSpec(kind="awgn", sigma=1e-6, seed=13)
-        rec = distortion_sensitivity(params, image, spec)
-        assert rec.ratio >= 0
-        assert rec.ratio <= m
-
-    def test_jpeg_proxy_accepted(self, model, image):
-        cfg, params = model
-        rec = distortion_sensitivity(
-            params, image, DistortionSpec(kind="dct_quant", quality=30))
-        assert rec.e_input > 0 and rec.ratio >= 0
-
-    def test_zero_perturbation_rejected(self, model):
-        cfg, params = model
-        flat = np.full((3, 8, 8), 0.5)
-        spec = DistortionSpec(kind="dct_quant", quality=100)
-        with pytest.raises(ValueError):
-            distortion_sensitivity(params, flat, spec)
-
-    def test_ratio_definition(self, model, image):
-        cfg, params = model
-        spec = DistortionSpec(kind="awgn", sigma=0.05, seed=14)
-        rec = distortion_sensitivity(params, image, spec)
-        assert rec.ratio == pytest.approx(rec.e_output / rec.e_input)
-
-
 class TestScalarizedOutput:
-    def test_metric_value_is_sum_of_distances(self, model, image):
+    def test_probe_scalar_metric_is_sum_of_distances(self, model, image):
         cfg, params = model
         out = forward(params, Tensor(image[None]), mode="inference",
                       update_running=False)
@@ -403,15 +344,18 @@ class TestScalarizedOutput:
         emb = out.embedding.data[0]
         dists = np.sqrt(((emb - centroid.reshape(-1, 1, 1)) ** 2).sum(axis=0)
                         + 1e-12)
-        got = scalarized_output(params, image)
+        got = robustness._probe_scalar(inference_view(params, np.float64), image,
+                                       "metric", None)
         assert got == pytest.approx(dists.sum(), rel=1e-9)
 
-    def test_ce_value_is_salient_probability_mass(self, model, image):
+    def test_probe_scalar_ce_is_salient_probability_mass(self, model, image):
         cfg, params = model
         out = forward(params, Tensor(image[None]), mode="inference",
                       update_running=False)
         want = out.ce_probs.data[0, 1].sum()
-        assert scalarized_output(params, image, head="ce") == pytest.approx(want)
+        got = robustness._probe_scalar(inference_view(params, np.float64), image,
+                                       "ce", None)
+        assert got == pytest.approx(want)
 
     @pytest.mark.parametrize("head", ["metric", "ce"])
     def test_one_op_with_closed_form_gradient(self, model, image, head):
