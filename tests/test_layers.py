@@ -785,6 +785,22 @@ class TestActivations:
         assert recorded.requires_grad and not grad_free.requires_grad
         assert recorded.data.tobytes() == grad_free.data.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_passes_gradient_where_input_positive(self, dtype):
+        data = np.array([[-2.0, -0.0, 0.0, 1e-300, -1e-300, 3.0]], dtype=dtype)
+        x = Tensor(data.copy(), requires_grad=True)
+        g = np.arange(1.0, 7.0, dtype=dtype).reshape(1, 6)
+        relu(x).backward(g)
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad, g * (data > 0))
+
+    def test_recorded_relu_backward_holds_only_its_output(self):
+        x = Tensor(np.array([[-2.0, 0.0, 3.0]]), requires_grad=True)
+        y = relu(x)
+        held = [c.cell_contents for c in y._backward_fn.__closure__ or ()]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert arrays and all(a is y.data for a in arrays)
+
     def test_relu_gradient_away_from_kink(self):
         point = Tensor(np.array([1.0, -2.0, 0.5]))
         assert finite_diff_check(lambda x: relu(x).sum(), point) < 1e-6

@@ -191,6 +191,24 @@ class TestCombinedLoss:
         lv = combined_loss(emb, probs, labels, samples)
         assert float(lv.total.data) == pytest.approx(lv.l_ml_star + lv.l_ce)
 
+    def test_lambda_weights_the_ce_term(self):
+        emb, probs, labels, samples = self.setup_case()
+        lv = combined_loss(emb, probs, labels, samples, lam=0.25)
+        assert float(lv.total.data) == pytest.approx(lv.l_ml_star + 0.25 * lv.l_ce,
+                                                     rel=1e-9)
+
+    def test_total_backward_weights_the_ce_gradient(self):
+        emb, probs, labels, samples = self.setup_case()
+        emb = Tensor(emb.data, requires_grad=True)
+        probs = Tensor(probs.data, requires_grad=True)
+        combined_loss(emb, probs, labels, samples, lam=0.5).total.backward()
+        ce_probs = Tensor(probs.data, requires_grad=True)
+        cross_entropy(ce_probs, labels, samples).backward()
+        ml_emb = Tensor(emb.data, requires_grad=True)
+        metric_loss_centroid(ml_emb, samples).backward()
+        np.testing.assert_allclose(probs.grad, 0.5 * ce_probs.grad, rtol=1e-12)
+        np.testing.assert_allclose(emb.grad, ml_emb.grad, rtol=1e-12)
+
     def test_negative_lambda_rejected(self):
         emb, probs, labels, samples = self.setup_case()
         with pytest.raises(ValueError):

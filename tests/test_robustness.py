@@ -150,6 +150,23 @@ class TestInferenceViewProbes:
                                        head, None)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_probe_scalar_at_its_own_frozen_centroid(self, folded, image):
+        view = inference_view(folded, np.float64)
+        centroid = robustness._frozen_centroid(robustness._probe_forward(view, image))
+        assert (robustness._probe_scalar(view, image, "metric", centroid)
+                == robustness._probe_scalar(view, image, "metric", None))
+
+    def test_probe_scalar_of_a_perturbed_image_at_the_clean_centroid(
+            self, folded, image):
+        # the MC directions evaluate x + t·u at the centroid of x
+        view = inference_view(folded, np.float64)
+        centroid = robustness._frozen_centroid(robustness._probe_forward(view, image))
+        perturbed = np.clip(image + 0.05 * Rng(21).normal(image.shape), 0.0, 1.0)
+        want = graph_scalar(folded, perturbed, "metric", centroid)
+        got = robustness._probe_scalar(view, perturbed, "metric", centroid)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got != robustness._probe_scalar(view, perturbed, "metric", None)
+
     @pytest.mark.parametrize("head", ["metric", "ce"])
     def test_mc_estimate_matches_graph_path(self, folded, image, head):
         centroid = None
